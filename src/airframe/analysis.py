@@ -9,53 +9,27 @@ top arc rT, so rT covers [0,1/2] and rB covers [1/2,1].
 
 from fractions import Fraction
 
-from .core import format_address, parent
+from . import geometry
+from .core import format_address
+from .geometry import AIRPLANE, HALF
 from .systems import PLMap
 
 
 # --- blue edge geometry ----------------------------------------------------
-
-def _last_color(system, addr):
-    return system.color_of(addr)
-
 
 def blue_edge_length(system, addr):
     """The length of a blue edge: base blues and fresh rays have length
     one, blue halves have half their parent's length."""
     if system.color_of(addr) != "blue":
         raise ValueError("not blue: %s" % format_address(addr))
-    p = parent(addr)
-    if p is None:
-        return Fraction(1)
-    if system.color_of(p) == "red":
-        return Fraction(1)  # fresh ray sprouting at an arc midpoint
-    return blue_edge_length(system, p) / 2
+    s, t = geometry.span(system, addr)
+    return abs(t - s)
 
 
 def is_extreme_edge(system, addr):
     """Is this blue edge's target the tip of a ray?"""
-    if system.color_of(addr) != "blue":
-        return False
-    p = parent(addr)
-    if p is None:
-        return True
-    if system.color_of(p) == "red":
-        return addr[1][-1] == 2
-    return addr[1][-1] == 3 and is_extreme_edge(system, p)
-
-
-def extremes(expansion):
-    """The degree-one vertices of the realized graph with their
-    incident blue leaf edge."""
-    from .core import realize_graph
-    g = realize_graph(expansion)
-    out = []
-    for eid, color, src, tgt in g.edges:
-        if g.degree(tgt) == 1:
-            out.append((tgt, eid))
-        if g.degree(src) == 1:
-            out.append((src, eid))
-    return out
+    return (system.color_of(addr) == "blue"
+            and geometry.span(system, addr)[1] == 1)
 
 
 # --- the derivative homomorphism D ----------------------------------------
@@ -116,20 +90,15 @@ def semidirect_split(f, epsilon):
 # --- the central circle boundary ------------------------------------------
 
 def is_central_arc(addr):
-    return addr[0] in ("rT", "rB") and all(i in (0, 1) for i in addr[1])
+    return geometry.line_of(AIRPLANE, addr) is None
 
 
 def arc_interval(addr):
     """(start, width) of a central circle arc."""
     if not is_central_arc(addr):
         raise ValueError("not a central arc: %s" % format_address(addr))
-    s = Fraction(0) if addr[0] == "rT" else Fraction(1, 2)
-    w = Fraction(1, 2)
-    for i in addr[1]:
-        w /= 2
-        if i == 1:
-            s += w
-    return s, w
+    s, t = geometry.span(AIRPLANE, addr)
+    return s, t - s
 
 
 def is_in_rist_C0(f):
@@ -159,22 +128,18 @@ def induced_boundary_map(f):
 # --- the horizontal line ---------------------------------------------------
 
 def is_hor_blue(addr):
-    return addr[0] in ("bL", "bR") and all(i in (0, 3) for i in addr[1])
+    return geometry.line_of(AIRPLANE, addr) in (("bL", ()), ("bR", ()))
 
 
 def hor_span(addr):
-    """(source position, target position) of a horizontal blue edge."""
+    """(source position, target position) of a horizontal blue edge: its
+    ray span, with the right ray's 0..1 at Hor's 1/2..1 and the left
+    ray's at 1/2..0."""
     if not is_hor_blue(addr):
         raise ValueError("not horizontal: %s" % format_address(addr))
-    ps = Fraction(1, 2)
-    pt = Fraction(0) if addr[0] == "bL" else Fraction(1)
-    for i in addr[1]:
-        mid = (ps + pt) / 2
-        if i == 0:
-            ps, pt = mid, ps
-        else:
-            ps, pt = mid, pt
-    return ps, pt
+    sign = 1 if addr[0] == "bR" else -1
+    s, t = geometry.span(AIRPLANE, addr)
+    return HALF + sign * s / 2, HALF + sign * t / 2
 
 
 def induced_hor_map(f):

@@ -8,19 +8,17 @@ correspondence, giving an injective morphism into the rearrangement
 group of the cycle.
 """
 
+import functools
+
 from .core import Expansion, child
 from .diagram import GraphPairDiagram
 from .systems import circular_airplane
 
-_CIRC = None
 
-
+@functools.cache
 def circular_system():
     """The shared circular replacement system instance."""
-    global _CIRC
-    if _CIRC is None:
-        _CIRC = circular_airplane()
-    return _CIRC
+    return circular_airplane()
 
 
 class EdgeCorrespondence:

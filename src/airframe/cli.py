@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 usage or parse error, 2 invariant failure.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -13,7 +14,8 @@ from .diagram import evaluate_word
 from .systems import (airplane_generators, basilica_generators,
                       circle_generators, interval_generators,
                       SYSTEM_BUILDERS)
-from .words import parse_word, flatten, WordSyntaxError
+from .words import (LONG_NAMES, WordSyntaxError, flatten, parse_word,
+                    tokenize)
 
 
 class UsageError(Exception):
@@ -25,30 +27,26 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_TABLES = None
-
-
+@functools.cache
 def _tables():
     # one table per system: diagrams only compose over a shared instance
-    global _TABLES
-    if _TABLES is None:
-        _TABLES = {
-            "airplane": airplane_generators(),
-            "basilica": basilica_generators(),
-            "interval": interval_generators(),
-            "circle": circle_generators(),
-        }
-    return _TABLES
+    return {
+        "airplane": airplane_generators(),
+        "basilica": basilica_generators(),
+        "interval": interval_generators(),
+        "circle": circle_generators(),
+    }
 
 
 def _word_diagram(src, system="airplane"):
     table = _tables()[system]
-    word = flatten(parse_word(src))
-    for name, _ in word:
-        if name not in table:
+    expr = parse_word(src)
+    for tok, pos in tokenize(src):
+        name = LONG_NAMES.get(tok, tok)
+        if tok[0].isalpha() and name not in table:
             raise WordSyntaxError("unknown generator %r for system %s"
-                                  % (name, system), 0)
-    return evaluate_word(table, word)
+                                  % (name, system), pos)
+    return evaluate_word(table, flatten(expr))
 
 
 def _emit(args, data, human):

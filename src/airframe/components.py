@@ -9,17 +9,14 @@ right ray); positions on a ray run from 0 at the host circle to 1 at
 the tip.
 """
 
+import functools
 import heapq
 from fractions import Fraction
 
-from .core import child, format_address, parent
-from . import analysis
-
-HALF = Fraction(1, 2)
-
-
-def path_depth(path):
-    return len(path)
+from .core import child, parent
+from . import analysis, geometry
+from .geometry import AIRPLANE, HALF
+from .systems import PLMap, airplane_generators
 
 
 def format_path(path):
@@ -56,46 +53,17 @@ def validate_path(path):
 
 # --- address-level geometry -------------------------------------------------
 #
-# Every boundary arc occupies an interval (start, width) of its circle,
-# with the arc's source vertex at the start; every blue edge occupies
-# (source position, target position) of its ray.
-
-def _is_blue(addr):
-    if not addr[1]:
-        return addr[0] in ("bL", "bR")
-    # colors alternate by rule shape; recompute cheaply
-    color = "blue" if addr[0] in ("bL", "bR") else "red"
-    for i in addr[1]:
-        color = ("red" if i in (1, 2) else "blue") if color == "blue" \
-            else ("blue" if i == 2 else "red")
-    return color == "blue"
-
-
-def inner_is_source(blue_addr):
-    """Is the source of this blue edge its end nearer the center?"""
-    p = parent(blue_addr)
-    if p is None or not _is_blue(p):
-        return True  # base ray or fresh ray
-    i = blue_addr[1][-1]
-    return inner_is_source(p) if i == 3 else not inner_is_source(p)
-
+# Positions come from airframe.geometry: a blue edge spans (source,
+# target) of its ray, a boundary arc (start, width) of its circle.
 
 def ray_of(blue_addr):
     """The base of the maximal ray this blue edge lies on."""
-    p = parent(blue_addr)
-    if p is None or not _is_blue(p):
-        return blue_addr
-    return ray_of(p)
+    return geometry.line_of(AIRPLANE, blue_addr)
 
 
 def blue_span(blue_addr):
     """(source, target) positions of a blue edge on its ray."""
-    p = parent(blue_addr)
-    if p is None or not _is_blue(p):
-        return Fraction(0), Fraction(1)
-    ps, pt = blue_span(p)
-    mid = (ps + pt) / 2
-    return (mid, ps) if blue_addr[1][-1] == 0 else (mid, pt)
+    return geometry.span(AIRPLANE, blue_addr)
 
 
 def circle_position(blue_addr):
@@ -105,50 +73,24 @@ def circle_position(blue_addr):
 
 def arc_span(red_addr):
     """(start, width) of a boundary arc on its circle."""
-    p = parent(red_addr)
-    if p is None:
-        return (Fraction(0), HALF) if red_addr[0] == "rT" else (HALF, HALF)
-    i = red_addr[1][-1]
-    if _is_blue(p):
-        # one of the two arcs of the circle created by expanding p
-        lower = 2 if inner_is_source(p) else 1
-        return (Fraction(0), HALF) if i == lower else (HALF, HALF)
-    s, w = arc_span(p)
-    w /= 2
-    return (s + w, w) if i == 1 else (s, w)
+    s, t = geometry.span(AIRPLANE, red_addr)
+    return s, t - s
 
 
 def component_of_red(red_addr):
     """The creating blue edge of the circle this arc bounds (None =
     central)."""
-    a = red_addr
-    while True:
-        p = parent(a)
-        if p is None:
-            return None
-        if _is_blue(p):
-            return p
-        a = p
+    line = geometry.line_of(AIRPLANE, red_addr)
+    return None if line is None else parent(line)
 
 
 def component_path(creating_blue):
     """Creating blue edge (or None) -> component path."""
     if creating_blue is None:
         return ()
-    r = ray_of(creating_blue)
-    l = circle_position(creating_blue)
-    host, theta = _ray_host_angle(r)
-    return component_path(host) + ((theta, l),)
-
-
-def _ray_host_angle(ray_base):
-    if ray_base == ("bR", ()):
-        return None, Fraction(0)
-    if ray_base == ("bL", ()):
-        return None, HALF
-    arc = parent(ray_base)  # fresh ray = child 2 of an arc
-    s, w = arc_span(arc)
-    return component_of_red(arc), s + w / 2
+    circle, theta = geometry.attachment(AIRPLANE, ray_of(creating_blue))
+    host = None if circle is None else parent(circle)
+    return component_path(host) + ((theta, circle_position(creating_blue)),)
 
 
 def path_to_component(path):
@@ -158,41 +100,17 @@ def path_to_component(path):
         return None
     host = path_to_component(path[:-1])
     theta, l = path[-1]
-    return _circle_at(_ray_at(host, theta), l)
+    return geometry.locate(AIRPLANE, [_ray_at(host, theta)], l)
 
 
 def _ray_at(host, theta):
-    if host is None:
-        if theta == 0:
-            return ("bR", ())
-        if theta == HALF:
-            return ("bL", ())
-        arc = ("rT", ()) if theta < HALF else ("rB", ())
-    else:
-        if theta in (0, HALF):
-            raise ValueError("angle %s is a through-direction" % theta)
-        lower = 2 if inner_is_source(host) else 1
-        arc = child(host, lower if theta < HALF else (3 - lower))
-    while True:
-        s, w = arc_span(arc)
-        mid = s + w / 2
-        if theta == mid:
-            return child(arc, 2)
-        arc = child(arc, 0 if theta < mid else 1)
-
-
-def _circle_at(ray_base, l):
-    e = ray_base
-    while True:
-        ps, pt = blue_span(e)
-        mid = (ps + pt) / 2
-        if l == mid:
-            return e
-        # descend toward the half containing l
-        if (min(ps, pt) < l < mid) == (ps < pt):
-            e = child(e, 0)
-        else:
-            e = child(e, 3)
+    if host is None and theta in (0, HALF):
+        return ("bR", ()) if theta == 0 else ("bL", ())
+    if theta in (0, HALF):
+        raise ValueError("angle %s is a through-direction" % theta)
+    arcs = [("rT", ()), ("rB", ())] if host is None \
+        else [child(host, 1), child(host, 2)]
+    return child(geometry.locate(AIRPLANE, arcs, theta), 2)
 
 
 def map_component(f, path):
@@ -218,29 +136,22 @@ def map_component(f, path):
 # agree with map_component on the generator diagrams (property-tested)
 # and are what make breadth-first orbit search affordable.
 
-def _boundary_maps():
-    from .systems import airplane_generators
+@functools.cache
+def _generator_maps():
+    """{(name, sign): PL map} of b, g, d on circle angles and of e on
+    right-ray positions (the interval map X0)."""
     g = airplane_generators()
-    return {name: analysis.induced_boundary_map(g[name])
-            for name in ("b", "g", "d")}
+    maps = {name: analysis.induced_boundary_map(g[name]) for name in "bgd"}
+    maps["e"] = PLMap([(0, 0), (Fraction(1, 4), HALF),
+                       (HALF, Fraction(3, 4)), (1, 1)])
+    return {(name, sign): m if sign > 0 else m.invert()
+            for name, m in maps.items() for sign in (1, -1)}
 
 
-_Y = None
-
-
-def _act_circle(name, sign, theta):
-    global _Y
-    if _Y is None:
-        _Y = _boundary_maps()
-    m = _Y[name] if sign > 0 else _Y[name].invert()
-    return m(theta)
-
-
-def _eps_ray(l, sign):
-    """epsilon's action on right-ray positions (the interval map X0)."""
-    m = analysis.PLMap([(0, 0), (Fraction(1, 4), HALF),
-                        (HALF, Fraction(3, 4)), (1, 1)])
-    return m(l) if sign > 0 else m.invert()(l)
+def _act_value(name, sign, x):
+    """A generator's action on one coordinate: the leading angle for b,
+    g, d, the right-ray position for e."""
+    return _generator_maps()[name, sign](x)
 
 
 def act(name, sign, path):
@@ -249,11 +160,11 @@ def act(name, sign, path):
         if not path:
             return path
         (t, l), rest = path[0], path[1:]
-        return ((_act_circle(name, sign, t), l),) + rest
+        return ((_act_value(name, sign, t), l),) + rest
     if name == "e":
         if path and path[0][0] == 0:
             (t, l), rest = path[0], path[1:]
-            return ((t, _eps_ray(l, sign)),) + rest
+            return ((t, _act_value("e", sign, l)),) + rest
         return path
     if name == "a":
         return _act_alpha(path) if sign > 0 else _act_alpha_inv(path)
@@ -452,23 +363,14 @@ def _theta_moves(fix_half=False):
     moves = []
     for n in names:
         for s in (1, -1):
-            moves.append(([(n, s)], lambda x, n=n, s=s: _act_circle(n, s, x)))
+            moves.append(([(n, s)], lambda x, n=n, s=s: _act_value(n, s, x)))
     if fix_half:
         for base in ("b", "g"):
             for s in (1, -1):
                 w = [("d", 1), (base, s), ("d", 1)]
-                moves.append((w, lambda x, b=base, s=s: _act_circle(
-                    "d", 1, _act_circle(b, s, _act_circle("d", 1, x)))))
+                moves.append((w, lambda x, b=base, s=s: _act_value(
+                    "d", 1, _act_value(b, s, _act_value("d", 1, x)))))
     return moves
-
-
-_WORD_CACHE = {}
-
-
-def _cached_bfs(key, start, goal, moves):
-    if (key, start) not in _WORD_CACHE:
-        _WORD_CACHE[(key, start)] = _value_bfs(start, goal, moves)
-    return _WORD_CACHE[(key, start)]
 
 
 def _ray_value_fn(word):
@@ -530,6 +432,38 @@ def word_cost(word, gen_set):
     return cost
 
 
+# Distinct (kind, start value) keys of the solvers; a full 1- and
+# 2-transitivity run at denominator 8 and depth 2 makes about 50.
+BFS_WORDS_CACHED = 1024
+
+
+@functools.lru_cache(maxsize=BFS_WORDS_CACHED)
+def _bfs_word(kind, start):
+    """The cheapest written word (a tuple) moving one coordinate to its
+    goal, or None.  kind "theta" turns an angle to 0, "stab" does so
+    fixing angle 1/2, "five" or "commutator" slides a right-ray position
+    to 1/2 with that generating set."""
+    if kind in ("theta", "stab"):
+        goal, moves = Fraction(0), _theta_moves(fix_half=kind == "stab")
+    else:
+        goal, moves = HALF, _l_moves(kind)
+    word = _value_bfs(start, goal, moves)
+    return None if word is None else tuple(_flatten(word))
+
+
+def _center_step(cur, gen_set):
+    """Rotate the leading angle to 0, then slide the leading position to
+    1/2: returns (the two words, the new path), or None."""
+    w1 = _bfs_word("theta", cur[0][0])
+    if w1 is None:
+        return None
+    cur = act_word(w1, cur)
+    w2 = _bfs_word(gen_set, cur[0][1])
+    if w2 is None:
+        return None
+    return [w1, w2], act_word(w2, cur)
+
+
 def solve_to_center(path, gen_set="five"):
     """A word mapping the component to the central one.
 
@@ -537,35 +471,18 @@ def solve_to_center(path, gen_set="five"):
     gen_set: "five" for alpha..epsilon, "commutator" for the
     commutator-subgroup generating set.
     """
-    path = validate_path(path)
+    cur = validate_path(path)
     pieces = []  # words in application order
-    cur = path
-    guard = 0
-    while cur:
-        guard += 1
-        if guard > 10:
+    for _ in range(10):
+        if not cur:
+            break
+        step = _center_step(cur, gen_set)
+        if step is None:
             return None
-        t, l = cur[0]
-        wt = _cached_bfs("theta", t, Fraction(0), _theta_moves())
-        if wt is None:
-            return None
-        w1 = _flatten(wt)
-        cur = act_word(w1, cur)
-        pieces.append(w1)
-        wl = _cached_bfs(("l", gen_set), cur[0][1], HALF, _l_moves(gen_set))
-        if wl is None:
-            return None
-        w2 = _flatten(wl)
-        cur = act_word(w2, cur)
-        pieces.append(w2)
+        words, cur = step
         cur = act_word([("a", -1)], cur)
-        pieces.append([("a", -1)])
-    return _flatten(pieces)
-
-
-def _stab_unfold_word(theta):
-    """A circle word fixing angle 1/2 and sending theta to 0."""
-    return _cached_bfs("stab", theta, Fraction(0), _theta_moves(fix_half=True))
+        pieces += words + [[("a", -1)]]
+    return None if cur else _flatten(pieces)
 
 
 def solve_to_center_fixing_center(path):
@@ -575,35 +492,23 @@ def solve_to_center_fixing_center(path):
     if not cur:
         raise ValueError("cannot move the central component while fixing it")
     pieces = []
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 12:
+    for _ in range(12):
+        step = _center_step(cur, "five")
+        if step is None:
             return None
-        t, l = cur[0]
-        wt = _cached_bfs("theta", t, Fraction(0), _theta_moves())
-        if wt is None:
-            return None
-        w1 = _flatten(wt)
-        cur = act_word(w1, cur)
-        pieces.append(w1)
-        wl = _cached_bfs(("l", "five"), cur[0][1], HALF, _l_moves("five"))
-        if wl is None:
-            return None
-        w2 = _flatten(wl)
-        cur = act_word(w2, cur)
-        pieces.append(w2)
+        words, cur = step
+        pieces += words
         if len(cur) == 1:
             return _flatten(pieces)
         # unfold: straighten the next turn onto the right ray while the
-        # unfolding conjugate fixes the center
-        t2 = (cur[1][0] - HALF) % 1
-        wt2 = _stab_unfold_word(t2)
-        if wt2 is None:
+        # unfolding conjugate fixes the center (its circle word fixes 1/2)
+        wt = _bfs_word("stab", (cur[1][0] - HALF) % 1)
+        if wt is None:
             return None
-        v = [("a", 1)] + _flatten(wt2) + [("a", -1)]
+        v = [("a", 1)] + list(wt) + [("a", -1)]
         cur = act_word(v, cur)
         pieces.append(v)
+    return None
 
 
 def solve_pair(c1, c2):

@@ -217,10 +217,6 @@ class Expansion:
         return hash(self.internal)
 
 
-def expand_edge(expansion, addr):
-    return expansion.expand(addr)
-
-
 def full_expansion(system, n):
     """Expand every edge n times."""
     exp = Expansion(system)

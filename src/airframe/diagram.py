@@ -247,14 +247,13 @@ class GraphPairDiagram:
     # -- serialization --------------------------------------------------
 
     def to_json(self):
-        mp = {}
-        for a, (b, r) in self.mapping.items():
-            mp[format_address(a)] = ("~" if r else "") + format_address(b)
+        mp = {format_address(a): ("~" if r else "") + format_address(b)
+              for a, (b, r) in self.mapping.items()}
         return {
             "system": self.system.name,
-            "domain": sorted(format_address(a) for a in self.mapping),
+            "domain": sorted(mp),
             "range": sorted(format_address(b) for b, _ in self.mapping.values()),
-            "map": mp,
+            "map": dict(sorted(mp.items())),
         }
 
     @classmethod
@@ -265,7 +264,11 @@ class GraphPairDiagram:
         for a, b in data["map"].items():
             rev = b.startswith("~")
             pairs.append((a, b.lstrip("~"), rev))
-        return cls.from_strings(system, pairs)
+        out = cls.from_strings(system, pairs)
+        if not out.validate():
+            raise ValueError("not a valid diagram over system %r"
+                             % system.name)
+        return out
 
     def dumps(self):
         return json.dumps(self.to_json(), indent=2)

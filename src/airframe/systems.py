@@ -380,39 +380,3 @@ class PLMap:
         pts = ", ".join("(%s, %s)" % (x, y) for x, y in self.breaks)
         return "PLMap[%s: %s]" % (kind, pts)
 
-
-# --- PL maps of interval and circle system diagrams ------------------------
-
-def _dyadic_cell(addr, start, width):
-    s, w = Fraction(start), Fraction(width)
-    for i in addr[1]:
-        w /= 2
-        if i == 1:
-            s += w
-    return s, w
-
-
-def interval_plmap(f):
-    """The PL map of a diagram over the interval system."""
-    f = f.reduce()
-    breaks = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]
-    for a, (b, rev) in f.mapping.items():
-        if rev:
-            raise ValueError("reversed pair in an interval diagram")
-        sa, _ = _dyadic_cell(a, 0, 1)
-        sb, _ = _dyadic_cell(b, 0, 1)
-        breaks.append((sa, sb))
-    return PLMap(sorted(set(breaks)))
-
-
-def circle_plmap(f):
-    """The PL map of a diagram over the circle system."""
-    f = f.reduce()
-    breaks = []
-    for a, (b, rev) in f.mapping.items():
-        if rev:
-            raise ValueError("reversed pair in a circle diagram")
-        sa, _ = _dyadic_cell(a, 0 if a[0] == "u" else Fraction(1, 2), Fraction(1, 2))
-        sb, _ = _dyadic_cell(b, 0 if b[0] == "u" else Fraction(1, 2), Fraction(1, 2))
-        breaks.append((sa, sb))
-    return PLMap(breaks, circle=True)

@@ -17,10 +17,10 @@ like the four Basilica generators under that identification.
 from fractions import Fraction
 
 from .core import child, parent
-from . import components as comp
-from .components import HALF
+from . import components as comp, geometry
 from .diagram import evaluate_word
-from .systems import basilica, basilica_generators, is_dyadic
+from .geometry import BASILICA, HALF
+from .systems import basilica_generators, is_dyadic
 
 INC = "inc"  # step outward to the next midpoint circle on this ray
 
@@ -84,55 +84,12 @@ def airplane_tree_action(table, word, vertex):
 # loop edge.  Circle coordinates: the top arc ct covers [0,1/2] with
 # the vertex P at 0; a loop's own circle has the contact point at 0.
 
-def _circle_of(addr):
-    """The component carrying this edge: None or a loop address."""
-    a = addr
-    while a[1] and a[1][-1] in (0, 2):
-        a = parent(a)
-    if not a[1]:
-        return None if a[0] in ("ct", "cb") else a if a[0] in ("lp", "lq") \
-            else None
-    return a
-
-
-def _carrier(addr):
-    """The circle a loop is attached to (as opposed to the one it
-    bounds)."""
-    p = parent(addr)
-    if p is None:
-        return None  # lp, lq sit on the central circle
-    return _circle_of(p)
-
-
-def _arc_span(addr):
-    p = parent(addr)
-    if p is None:
-        return (Fraction(0), HALF) if addr[0] == "ct" else (HALF, HALF)
-    i = addr[1][-1]
-    if p[1] and p[1][-1] == 1 or (not p[1] and p[0] in ("lp", "lq")):
-        # first two arcs of a loop's circle, contact point at 0
-        return (Fraction(0), HALF) if i == 0 else (HALF, HALF)
-    s, w = _arc_span(p)
-    w /= 2
-    return (s, w) if i == 0 else (s + w, w)
-
-
-def loop_position(addr):
-    """Attachment angle of a loop on its carrier circle."""
-    p = parent(addr)
-    if p is None:
-        return Fraction(0) if addr[0] == "lp" else HALF
-    if p[1] and p[1][-1] == 1 or (not p[1] and p[0] in ("lp", "lq")):
-        return HALF  # the fresh loop of a loop's circle
-    s, w = _arc_span(p)
-    return s + w / 2
-
-
 def basilica_vertex(loop_addr):
     """Component -> chain of attachment angles from the center."""
     if loop_addr is None:
         return ()
-    return basilica_vertex(_carrier(loop_addr)) + (loop_position(loop_addr),)
+    carrier, angle = geometry.attachment(BASILICA, loop_addr)
+    return basilica_vertex(carrier) + (angle,)
 
 
 def vertex_to_loop(vertex):
@@ -146,23 +103,13 @@ def vertex_to_loop(vertex):
 def _loop_at(host, p):
     if not is_dyadic(p) or not 0 <= p < 1:
         raise ValueError("bad attachment angle %s" % p)
-    if host is None:
-        if p == 0:
-            return ("lp", ())
-        if p == HALF:
-            return ("lq", ())
-        a = ("ct", ()) if p < HALF else ("cb", ())
-    else:
-        if p == 0:
-            raise ValueError("angle 0 is the contact point")
-        if p == HALF:
-            return child(host, 1)
-        a = child(host, 0 if p < HALF else 2)
-    while True:
-        s, w = _arc_span(a)
-        if p == s + w / 2:
-            return child(a, 1)
-        a = child(a, 0 if p < s + w / 2 else 2)
+    if host is None and p in (0, HALF):
+        return ("lp", ()) if p == 0 else ("lq", ())
+    if host is not None and p == 0:
+        raise ValueError("angle 0 is the contact point")
+    # a loop's own cell spans its whole circle
+    arcs = [("ct", ()), ("cb", ())] if host is None else [host]
+    return child(geometry.locate(BASILICA, arcs, p), 1)
 
 
 def map_basilica_component(f, loop_addr):
@@ -180,10 +127,10 @@ def map_basilica_component(f, loop_addr):
         while rep in f.domain.internal:
             rep = child(rep, 0)
         b, _ = f.mapping[rep]
-        return _circle_of(b)
+        return geometry.line_of(BASILICA, b)
     b, _ = f.mapping[rep]
     if loop_addr is None:
-        return _circle_of(b)
+        return geometry.line_of(BASILICA, b)
     return b
 
 

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import airframe
 from airframe import cli
 from airframe.diagram import GraphPairDiagram
 from airframe.words import parse_word, pretty, flatten, WordSyntaxError
@@ -85,6 +89,21 @@ def test_parse_error_exit_code(capsys):
 def test_unknown_generator_exit_code(capsys):
     code, _, err = run(capsys, "eval", "q")
     assert code == 1
+    code, _, err = run(capsys, "eval", "a h")
+    assert code == 1
+    assert "at offset 2" in err
+
+
+def test_eval_json_bytes_do_not_depend_on_hash_seed():
+    src = os.path.dirname(os.path.dirname(airframe.__file__))
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outs.append(subprocess.run(
+            [sys.executable, "-m", "airframe.cli", "eval",
+             "a b e' g d a e", "--json"],
+            env=env, capture_output=True, check=True).stdout)
+    assert outs[0] == outs[1]
 
 
 def test_usage_error_exit_code(capsys):

@@ -41,6 +41,16 @@ def test_validate_rejects_red_swap_with_straight_flags(A):
     assert not f.validate()
 
 
+def test_from_json_rejects_invalid_diagrams(A):
+    colors = {"system": "airplane",
+              "map": {"bL": "rT", "rT": "bL", "rB": "rB", "bR": "bR"}}
+    leaves = {"system": "airplane",
+              "map": {"bL": "bL", "rT": "rT", "rB": "rB"}}
+    for data in (colors, leaves):
+        with pytest.raises(ValueError):
+            GraphPairDiagram.from_json(A, data)
+
+
 def test_expand_then_reduce_is_identity_map(gens):
     f = gens["b"]
     g = f.expand_pair(("rT", ())).expand_pair(("bR", ()))
