@@ -20,16 +20,16 @@ from .systems import PLMap
 def blue_edge_length(system, addr):
     """The length of a blue edge: base blues and fresh rays have length
     one, blue halves have half their parent's length."""
-    if system.color_of(addr) != "blue":
+    color, s, t, d, _ = geometry.walk(system, addr)
+    if color != "blue":
         raise ValueError("not blue: %s" % format_address(addr))
-    s, t = geometry.span(system, addr)
-    return abs(t - s)
+    return Fraction(abs(t - s), d)
 
 
 def is_extreme_edge(system, addr):
     """Is this blue edge's target the tip of a ray?"""
-    return (system.color_of(addr) == "blue"
-            and geometry.span(system, addr)[1] == 1)
+    color, _, t, d, _ = geometry.walk(system, addr)
+    return color == "blue" and t == d
 
 
 # --- the derivative homomorphism D ----------------------------------------

@@ -115,18 +115,8 @@ def _ray_at(host, theta):
 
 def map_component(f, path):
     """The image component path of a component under a diagram."""
-    f = f.reduce()
     e = path_to_component(path)
-    arc = ("rT", ()) if e is None else child(e, 1)
-    while not (f.domain.is_leaf(arc) or arc in f.domain.internal):
-        p = arc
-        while not f.domain.is_leaf(p):
-            p = parent(p)
-        f = f.expand_pair(p)
-    a = arc
-    while a in f.domain.internal:
-        a = child(a, 0)
-    b, _ = f.mapping[a]
+    b = f.reduce().leaf_image(("rT", ()) if e is None else child(e, 1))
     return component_path(component_of_red(b))
 
 

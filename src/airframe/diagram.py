@@ -131,6 +131,19 @@ class GraphPairDiagram:
         return GraphPairDiagram(self.system, self.domain.expand(a),
                                 self.range.expand(b), mapping)
 
+    def leaf_image(self, a):
+        """Where the first leaf at or below cell a (following child 0)
+        goes, expanding pairs until a is a node of the domain tree."""
+        f = self
+        while not (f.domain.is_leaf(a) or a in f.domain.internal):
+            p = a
+            while not f.domain.is_leaf(p):
+                p = core.parent(p)
+            f = f.expand_pair(p)
+        while a in f.domain.internal:
+            a = child(a, 0)
+        return f.mapping[a][0]
+
     def _collapse_at(self, a):
         """Collapse the children of a if they form a rigid pair; else None."""
         rule = self.system.rule_for(self.system.color_of(a))

@@ -9,74 +9,76 @@ the midpoint.  A child whose two ends both land on the midpoint starts
 a new line: a fresh ray, the arcs of a fresh circle, a Basilica loop.
 """
 
+import functools
 from fractions import Fraction
 
 from .core import child, parent
 from .systems import airplane, basilica
 
 HALF = Fraction(1, 2)
-LINE = (Fraction(0), Fraction(1))
 ENDS = ("i", "t")
 
 AIRPLANE = airplane()
 BASILICA = basilica()
 
-# The arcs of the central circle; every other base cell is a line of its
-# own, spanning LINE and attached to the central circle at ATTACHED.
-CENTRAL = {"rT": (LINE[0], HALF), "rB": (HALF, LINE[1]),
-           "ct": (LINE[0], HALF), "cb": (HALF, LINE[1])}
+# A position is kept as integers (s, t, d): (source, target) = (s/d, t/d).
+# CENTRAL holds the arcs of the central circle; every other base cell is
+# a line of its own, spanning LINE and attached to the central circle at
+# ATTACHED.
+LINE = (0, 1, 1)
+CENTRAL = {"rT": (0, 1, 2), "rB": (1, 2, 2), "ct": (0, 1, 2), "cb": (1, 2, 2)}
 ATTACHED = {"bR": Fraction(0), "bL": HALF, "lp": Fraction(0), "lq": HALF}
 
 
-def _fresh_spans(graph, low):
-    """Spans of the children that start a new line, by child index.
+@functools.lru_cache(maxsize=64)
+def _fresh_spans(edges, low):
+    """(s, t, d) of the rule edges that start a new line, by child index.
 
     The line is walked along its edges from the vertex that meets the
     parent's `low` end ("i" or "t"), so that on a fresh circle angle 0
     faces the parent's lower position; each edge takes an equal share.
     """
-    fresh = [k for k, (_, _, u, w) in enumerate(graph.edges)
+    fresh = [k for k, (_, _, u, w) in enumerate(edges)
              if u not in ENDS and w not in ENDS]
-    v = next(u if w == low else w for _, _, u, w in graph.edges
-             if low in (u, w))
+    v = next(u if w == low else w for _, _, u, w in edges if low in (u, w))
     spans = {}
     for n in range(len(fresh)):
-        k = next(k for k in fresh if k not in spans and graph.edges[k][2] == v)
-        spans[k] = (Fraction(n, len(fresh)), Fraction(n + 1, len(fresh)))
-        v = graph.edges[k][3]
+        k = next(k for k in fresh if k not in spans and edges[k][2] == v)
+        spans[k] = (n, n + 1, len(fresh))
+        v = edges[k][3]
     return spans
 
 
-def _step(graph, s, t, i):
-    """(color, source, target, starts a new line?) of child i of a cell
-    at (s, t) whose rule graph is `graph`."""
+def _step(graph, s, t, d, i):
+    """(color, s, t, d, starts a new line?) of child i of a cell at
+    (s, t, d) whose rule graph is `graph`."""
     _, color, u, w = graph.edges[i]
     if u in ENDS or w in ENDS:
-        mid = (s + t) / 2
-        at = {"i": s, "t": t}
-        return color, at.get(u, mid), at.get(w, mid), False
-    a, b = _fresh_spans(graph, "i" if s < t else "t")[i]
-    return color, a, b, True
+        ends = {"i": 2 * s, "t": 2 * t}
+        return color, ends.get(u, s + t), ends.get(w, s + t), 2 * d, False
+    low = "i" if s < t else "t"
+    return (color,) + _fresh_spans(tuple(graph.edges), low)[i] + (True,)
 
 
-def _walk(system, addr):
-    """(color, source, target, length of the path prefix that starts the
-    cell's line) of a cell."""
+def walk(system, addr):
+    """(color, s, t, d, start) of a cell: its color, its (source, target)
+    position (s/d, t/d), and the length of the path prefix that starts
+    its line."""
     base, path = addr
     color = system.base.by_id[base][0]
-    s, t = CENTRAL.get(base, LINE)
+    s, t, d = CENTRAL.get(base, LINE)
     start = 0
     for k, i in enumerate(path, 1):
-        color, s, t, fresh = _step(system.rules[color].graph, s, t, i)
+        color, s, t, d, fresh = _step(system.rules[color].graph, s, t, d, i)
         if fresh:
             start = k
-    return color, s, t, start
+    return color, s, t, d, start
 
 
 def span(system, addr):
     """(source, target) position of a cell on its line."""
-    _, s, t, _ = _walk(system, addr)
-    return s, t
+    _, s, t, d, _ = walk(system, addr)
+    return Fraction(s, d), Fraction(t, d)
 
 
 def _line(addr, start):
@@ -87,7 +89,7 @@ def _line(addr, start):
 def line_of(system, addr):
     """The cell that starts the line this cell lies on; None for the
     central circle."""
-    return _line(addr, _walk(system, addr)[3])
+    return _line(addr, walk(system, addr)[4])
 
 
 def attachment(system, line):
@@ -96,23 +98,23 @@ def attachment(system, line):
     p = parent(line)
     if p is None:
         return None, ATTACHED[line[0]]
-    _, s, t, start = _walk(system, p)
-    return _line(p, start), (s + t) / 2
+    _, s, t, d, start = walk(system, p)
+    return _line(p, start), Fraction(s + t, 2 * d)
 
 
 def locate(system, cells, x):
     """The cell whose midpoint is x, found by descending from whichever
     of `cells` (cells of one line) holds x, along that line."""
-    options = [(c,) + _walk(system, c)[:3] for c in cells]
+    options = [(c,) + walk(system, c)[:4] for c in cells]
     while True:
-        for cell, color, s, t in options:
-            if 2 * x == s + t:
+        for cell, color, s, t, d in options:
+            if 2 * d * x == s + t:
                 return cell
-            if min(s, t) < x < max(s, t):
+            if min(s, t) < d * x < max(s, t):
                 break
         else:
             raise ValueError("%s is not on this line" % x)
         graph = system.rules[color].graph
-        steps = (_step(graph, s, t, i) for i in range(len(graph.edges)))
-        options = [(child(cell, i), c, a, b)
-                   for i, (c, a, b, fresh) in enumerate(steps) if not fresh]
+        steps = (_step(graph, s, t, d, i) for i in range(len(graph.edges)))
+        options = [(child(cell, i),) + step[:4]
+                   for i, step in enumerate(steps) if not step[4]]

@@ -16,7 +16,7 @@ like the four Basilica generators under that identification.
 
 from fractions import Fraction
 
-from .core import child, parent
+from .core import child
 from . import components as comp, geometry
 from .diagram import evaluate_word
 from .geometry import BASILICA, HALF
@@ -114,24 +114,8 @@ def _loop_at(host, p):
 
 def map_basilica_component(f, loop_addr):
     """Image component of a Basilica circle under a diagram."""
-    f = f.reduce()
     rep = ("ct", ()) if loop_addr is None else loop_addr
-    while not (f.domain.is_leaf(rep) or rep in f.domain.internal):
-        p = rep
-        while not f.domain.is_leaf(p):
-            p = parent(p)
-        f = f.expand_pair(p)
-    if rep in f.domain.internal:
-        # descend to a leaf arc of the same circle
-        rep = child(rep, 0)
-        while rep in f.domain.internal:
-            rep = child(rep, 0)
-        b, _ = f.mapping[rep]
-        return geometry.line_of(BASILICA, b)
-    b, _ = f.mapping[rep]
-    if loop_addr is None:
-        return geometry.line_of(BASILICA, b)
-    return b
+    return geometry.line_of(BASILICA, f.reduce().leaf_image(rep))
 
 
 def basilica_tree_action(table, word, vertex):
