@@ -30,9 +30,9 @@ def _breaks(m):
     return None if m is None else [[str(x), str(y)] for x, y in m.breaks]
 
 
-def _random_word(rng):
+def _random_word(rng, max_len=10):
     return " ".join(rng.choice("abgde") + rng.choice(["", "'"])
-                    for _ in range(rng.randint(1, 10)))
+                    for _ in range(rng.randint(1, max_len)))
 
 
 def word_cases(table):
@@ -50,6 +50,15 @@ def word_cases(table):
             "hor": _breaks(analysis.induced_hor_map(f)),
             "phi": circularize.phi_diagram(f).to_json(),
         }
+
+
+def random_word_cases(table, n=1000):
+    """The reduced diagrams of n seeded words of 1 to 30 letters."""
+    rng = random.Random(3014)
+    for i in range(n):
+        src = _random_word(rng, 30)
+        f = evaluate_word(table, flatten(parse_word(src)))
+        yield "random %04d %s" % (i, src), f.reduce().to_json()
 
 
 def component_cases(table):
@@ -85,7 +94,8 @@ def digests(cases):
 def all_digests():
     table = airplane_generators()
     out = {}
-    for cases in (word_cases(table), component_cases(table), vertex_cases()):
+    for cases in (word_cases(table), random_word_cases(table),
+                  component_cases(table), vertex_cases()):
         out.update(digests(cases))
     return out
 
