@@ -37,12 +37,12 @@ def is_extreme_edge(system, addr):
 def extremal_derivative_at(f, addr):
     """D_p = 2^(r-d) at the extreme held by the domain leaf addr."""
     b, _ = f.mapping[addr]
-    d = -_log2(blue_edge_length(f.system, addr))
-    r = -_log2(blue_edge_length(f.system, b))
+    d = -log2(blue_edge_length(f.system, addr))
+    r = -log2(blue_edge_length(f.system, b))
     return Fraction(2) ** (r - d)
 
 
-def _log2(x):
+def log2(x):
     n = 0
     while x < 1:
         x *= 2
@@ -66,7 +66,7 @@ def global_derivative(f):
 
 
 def abelianization_image(f):
-    return _log2(global_derivative(f))
+    return log2(global_derivative(f))
 
 
 def is_in_commutator(f):

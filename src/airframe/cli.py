@@ -73,7 +73,7 @@ def cmd_eval(args):
 def cmd_d(args):
     f = _word_diagram(args.word)
     dv = analysis.global_derivative(f)
-    k = analysis.abelianization_image(f)
+    k = analysis.log2(dv)
     _emit(args, {"derivative": str(dv), "log2": k, "abs_log2": abs(k)},
           "D = %s, log2 D = %d, |log2 D| = %d" % (dv, k, abs(k)))
     return 0
@@ -81,9 +81,11 @@ def cmd_d(args):
 
 def cmd_commutator(args):
     f = _word_diagram(args.word)
-    table = _tables()["airplane"]
-    c, k = analysis.semidirect_split(f, table["e"])
-    member = analysis.is_in_commutator(f)
+    # D(e) = 2, so f = c o e^k with k = log2 D(f), and f is a commutator
+    # exactly when k = 0
+    k = analysis.log2(analysis.global_derivative(f))
+    c = f.compose(_tables()["airplane"]["e"].power(-k))
+    member = k == 0
     _emit(args, {"in_commutator": member, "epsilon_exponent": k,
                  "commutator_part": c.to_json()},
           "in commutator subgroup: %s; f = c o e^%d" % (member, k))

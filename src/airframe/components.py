@@ -71,12 +71,6 @@ def circle_position(blue_addr):
     return (ps + pt) / 2
 
 
-def arc_span(red_addr):
-    """(start, width) of a boundary arc on its circle."""
-    s, t = geometry.span(AIRPLANE, red_addr)
-    return s, t - s
-
-
 def component_of_red(red_addr):
     """The creating blue edge of the circle this arc bounds (None =
     central)."""

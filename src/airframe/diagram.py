@@ -9,12 +9,12 @@ involution of the rule graph that swaps the initial and terminal
 vertex.
 """
 
+import functools
 import itertools
 import json
 
 from . import core
-from .core import (Expansion, child, common_refinement, format_address,
-                   parse_address)
+from .core import Expansion, child, format_address, parse_address
 
 
 def reversal_matching(rule):
@@ -114,20 +114,9 @@ class GraphPairDiagram:
 
     def expand_pair(self, a):
         b, rev = self.mapping[a]
-        rule = self.system.rule_for(self.system.color_of(a))
         mapping = dict(self.mapping)
         del mapping[a]
-        if not rev:
-            for i in range(rule.arity()):
-                mapping[child(a, i)] = (child(b, i), False)
-        else:
-            sigma = reversal_matching(rule)
-            if sigma is None:
-                raise ValueError("rule for color %r has no reversal"
-                                 % rule.color)
-            for i in range(rule.arity()):
-                j, r = sigma[i]
-                mapping[child(a, i)] = (child(b, j), r)
+        mapping.update(_child_pairs(self.system, a, b, rev))
         return GraphPairDiagram(self.system, self.domain.expand(a),
                                 self.range.expand(b), mapping)
 
@@ -144,55 +133,45 @@ class GraphPairDiagram:
             a = child(a, 0)
         return f.mapping[a][0]
 
-    def _collapse_at(self, a):
-        """Collapse the children of a if they form a rigid pair; else None."""
-        rule = self.system.rule_for(self.system.color_of(a))
-        n = rule.arity()
-        kids = [child(a, i) for i in range(n)]
-        if any(k not in self.mapping for k in kids):
-            return None
-        images = [self.mapping[k] for k in kids]
-        parents = {core.parent(b) for b, _ in images}
-        if len(parents) != 1:
-            return None
-        b = parents.pop()
-        if b is None or b not in self.range.internal:
-            return None
-        got = [(bb[1][-1], r) for bb, r in images]
-        if got == [(i, False) for i in range(n)]:
-            flag = False
-        else:
-            sigma = reversal_matching(rule)
-            if sigma is None or got != [sigma[i] for i in range(n)]:
-                return None
-            flag = True
-        mapping = dict(self.mapping)
-        for k in kids:
-            del mapping[k]
-        mapping[a] = (b, flag)
-        dom = Expansion(self.system, self.domain.internal - {a})
-        rng = Expansion(self.system, self.range.internal - {b})
-        return GraphPairDiagram(self.system, dom, rng, mapping)
-
     def reduce(self, rng=None):
         """The unique reduced form.  rng, if given, shuffles the collapse
-        schedule (the result does not depend on it)."""
-        d = self
-        while True:
-            cands = [a for a in d.domain.internal
-                     if all(child(a, i) in d.mapping
-                            for i in range(d.system.rule_for(
-                                d.system.color_of(a)).arity()))]
-            cands.sort(key=format_address)
-            if rng is not None:
-                rng.shuffle(cands)
-            for a in cands:
-                nxt = d._collapse_at(a)
-                if nxt is not None:
-                    d = nxt
-                    break
+        schedule (the result does not depend on it).  A node can only
+        become collapsible when a child collapses, so one worklist pass
+        that pushes the parent of each collapse is enough."""
+        system = self.system
+        mapping = dict(self.mapping)
+        dom, ran = set(self.domain.internal), set(self.range.internal)
+        work = sorted({core.parent(a) for a in mapping} - {None})
+        if rng is not None:
+            rng.shuffle(work)
+        while work:
+            a = work.pop()
+            rule = system.rule_for(system.color_of(a))
+            n = rule.arity()
+            images = [mapping.get(child(a, i)) for i in range(n)]
+            if None in images:
+                continue
+            b = core.parent(images[0][0])
+            if b is None or any(core.parent(c) != b for c, _ in images):
+                continue
+            got = [(c[1][-1], r) for c, r in images]
+            if got == [(i, False) for i in range(n)]:
+                flag = False
+            elif tuple(got) == _reversal(rule):
+                flag = True
             else:
-                return d
+                continue
+            for i in range(n):
+                del mapping[child(a, i)]
+            mapping[a] = (b, flag)
+            dom.remove(a)
+            ran.remove(b)
+            if a[1]:  # not a base edge
+                work.append(core.parent(a))
+        if len(mapping) == len(self.mapping):
+            return self
+        return GraphPairDiagram(system, Expansion(system, dom),
+                                Expansion(system, ran), mapping)
 
     # -- group operations ----------------------------------------------
 
@@ -200,25 +179,17 @@ class GraphPairDiagram:
         """self after other."""
         if self.system is not other.system:
             raise ValueError("diagrams over different systems")
-        mid = common_refinement(other.range, self.domain)
-        g = other
-        while g.range.internal != mid.internal:
-            todo = [b for b in mid.internal - g.range.internal
-                    if g.range.is_leaf(b)]
-            back = {b: a for a, (b, _) in g.mapping.items()}
-            for b in todo:
-                g = g.expand_pair(back[b])
-        f = self
-        while f.domain.internal != mid.internal:
-            todo = [a for a in mid.internal - f.domain.internal
-                    if f.domain.is_leaf(a)]
-            for a in todo:
-                f = f.expand_pair(a)
+        mid = other.range.internal | self.domain.internal
+        left, dom_grown = _refined(other.invert(), mid)
+        right, rng_grown = _refined(self, mid)
         mapping = {}
-        for a, (b, r1) in g.mapping.items():
-            c, r2 = f.mapping[b]
+        for b, (a, r1) in left.items():
+            c, r2 = right[b]
             mapping[a] = (c, r1 != r2)
-        out = GraphPairDiagram(self.system, g.domain, f.range, mapping)
+        system = self.system
+        out = GraphPairDiagram(
+            system, Expansion(system, other.domain.internal | dom_grown),
+            Expansion(system, self.range.internal | rng_grown), mapping)
         return out.reduce()
 
     def invert(self):
@@ -237,12 +208,14 @@ class GraphPairDiagram:
         return all(a == b and not r for a, (b, r) in d.mapping.items())
 
     def power(self, k):
+        """self^k by repeated squaring."""
         if k < 0:
             return self.invert().power(-k)
-        out = identity(self.system)
-        for _ in range(k):
-            out = out.compose(self)
-        return out
+        if k <= 1:
+            return self.reduce() if k else identity(self.system)
+        half = self.power(k // 2)
+        out = half.compose(half)
+        return out.compose(self) if k % 2 else out
 
     def conjugate(self, g):
         """self conjugated by g: g^-1 after self after g."""
@@ -287,6 +260,36 @@ class GraphPairDiagram:
         return json.dumps(self.to_json(), indent=2)
 
 
+@functools.cache
+def _reversal(rule):
+    """reversal_matching(rule) as a tuple by child index, once per rule."""
+    sigma = reversal_matching(rule)
+    return None if sigma is None else tuple(sigma[i] for i in sorted(sigma))
+
+
+def _child_pairs(system, a, b, rev):
+    """The pairs that replace the pair a -> b (reversed if rev)."""
+    rule = system.rule_for(system.color_of(a))
+    n = rule.arity()
+    sigma = _reversal(rule) if rev else [(i, False) for i in range(n)]
+    if sigma is None:
+        raise ValueError("rule for color %r has no reversal" % rule.color)
+    return [(child(a, i), (child(b, j), r)) for i, (j, r) in enumerate(sigma)]
+
+
+def _refined(f, target):
+    """f's mapping expanded in place until the domain is the parent-closed
+    target (cells by depth, so each is a leaf when its turn comes), and
+    the range cells expanded on the way."""
+    mapping = dict(f.mapping)
+    grown = set()
+    for a in sorted(target - f.domain.internal, key=lambda a: len(a[1])):
+        b, rev = mapping.pop(a)
+        mapping.update(_child_pairs(f.system, a, b, rev))
+        grown.add(b)
+    return mapping, grown
+
+
 def _internal_from_leaves(leaves):
     internal = set()
     for a in leaves:
@@ -313,8 +316,13 @@ def evaluate_word(table, word):
     table: {name: GraphPairDiagram}; word: list of (name, exponent),
     applied right to left like function composition.
     """
-    system = next(iter(table.values())).system
-    out = identity(system)
-    for name, exp in word:
-        out = out.compose(table[name].power(exp))
-    return out
+    power = functools.cache(lambda name, exp: table[name].power(exp))
+    factors = [power(name, exp) for name, exp in word]
+    if not factors:
+        return identity(next(iter(table.values())).system)
+    # pairwise rounds: each round costs time linear in the leaves
+    while len(factors) > 1:
+        factors = [factors[i].compose(factors[i + 1])
+                   if i + 1 < len(factors) else factors[i]
+                   for i in range(0, len(factors), 2)]
+    return factors[0]

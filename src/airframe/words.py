@@ -21,6 +21,8 @@ class WordSyntaxError(ValueError):
         self.pos = pos
 
 
+MAX_LETTERS = 4096  # the longest word that flatten may build
+
 LONG_NAMES = {"alpha": "a", "beta": "b", "gamma": "g",
               "delta": "d", "epsilon": "e"}
 
@@ -68,20 +70,25 @@ class Parser:
         return tok, pos
 
     def parse(self):
-        expr = self.word()
+        expr, _ = self.word()
         if self.i < len(self.toks):
             raise WordSyntaxError("trailing input %r" % self.peek(),
                                   self.pos())
         return expr
 
+    # word, factor and primary return (expression, flattened length), so
+    # a word too long to flatten fails before any letter list is built
     def word(self):
-        parts = [self.factor()]
-        while self.peek() not in (None, ")", "]", ","):
-            parts.append(self.factor())
-        return parts[0] if len(parts) == 1 else ("seq", parts)
+        parts, n = [], 0
+        while not parts or self.peek() not in (None, ")", "]", ","):
+            pos = self.pos()
+            expr, m = self.factor()
+            parts.append(expr)
+            n = _bounded(n + m, pos)
+        return (parts[0] if len(parts) == 1 else ("seq", parts)), n
 
     def factor(self):
-        expr = self.primary()
+        expr, n = self.primary()
         while self.peek() in ("'", "^"):
             tok, pos = self.take()
             if tok == "'":
@@ -91,28 +98,37 @@ class Parser:
                 if nxt is not None and re.fullmatch(r"-?\d+", nxt):
                     k, _ = self.take()
                     expr = ("pow", expr, int(k))
+                    n = _bounded(n * abs(int(k)), pos)
                 else:
-                    expr = ("conj", expr, self.primary())
-        return expr
+                    y, m = self.primary()
+                    expr, n = ("conj", expr, y), _bounded(n + 2 * m, pos)
+        return expr, n
 
     def primary(self):
         tok = self.peek()
         if tok == "(":
             self.take()
-            expr = self.word()
+            out = self.word()
             self.take(")")
-            return expr
+            return out
         if tok == "[":
             self.take()
-            x = self.word()
+            x, n = self.word()
             self.take(",")
-            y = self.word()
+            y, m = self.word()
             self.take("]")
-            return ("comm", x, y)
+            return ("comm", x, y), 2 * (n + m)
         tok, pos = self.take()
         if re.fullmatch(r"-?\d+", tok):
             raise WordSyntaxError("number %r is not a generator" % tok, pos)
-        return ("atom", LONG_NAMES.get(tok, tok))
+        return ("atom", LONG_NAMES.get(tok, tok)), 1
+
+
+def _bounded(n, pos):
+    if n > MAX_LETTERS:
+        raise WordSyntaxError("word longer than %d letters" % MAX_LETTERS,
+                              pos)
+    return n
 
 
 def parse_word(src):

@@ -8,7 +8,8 @@ import pytest
 import airframe
 from airframe import cli
 from airframe.diagram import GraphPairDiagram
-from airframe.words import parse_word, pretty, flatten, WordSyntaxError
+from airframe.words import (MAX_LETTERS, WordSyntaxError, flatten, parse_word,
+                            pretty)
 
 
 def run(capsys, *argv):
@@ -132,3 +133,24 @@ def test_parse_diagnostics_have_offsets():
     with pytest.raises(WordSyntaxError) as ei:
         parse_word("a [b, ")
     assert ei.value.pos == 6
+
+
+def test_huge_exponent_fails_fast():
+    src = os.path.dirname(os.path.dirname(airframe.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "airframe.cli", "eval", "a^1000000"],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 1
+    assert "at offset 1" in done.stderr
+
+
+def test_word_length_bound():
+    assert len(flatten(parse_word("(a b)^%d" % (MAX_LETTERS // 2)))) \
+        == MAX_LETTERS
+    for s, pos in [("a b^%d" % (MAX_LETTERS + 1), 3),
+                   ("b [a^4000, g^100]", 2),
+                   ("a (a b)^%d" % (MAX_LETTERS // 2), 2)]:
+        with pytest.raises(WordSyntaxError) as ei:
+            parse_word(s)
+        assert ei.value.pos == pos

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from airframe import diagram
 from airframe.diagram import (GraphPairDiagram, commutator, evaluate_word,
                               identity, reversal_matching)
 from airframe.systems import airplane, airplane_generators
@@ -106,6 +107,27 @@ def test_json_roundtrip(gens, A):
     for f in gens.values():
         back = GraphPairDiagram.from_json(A, f.to_json())
         assert back.equals(f)
+
+
+def test_power_is_repeated_compose(gens):
+    rng = random.Random(17)
+    for f in [gens["e"]] + [evaluate_word(gens, random_word(rng, 12))
+                            for _ in range(3)]:
+        p = identity(f.system)
+        for k in range(10):
+            assert f.power(k).equals(p)
+            assert f.power(-k).equals(p.invert())
+            p = p.compose(f)
+
+
+def test_reversal_matching_runs_once_per_rule(monkeypatch, gens):
+    calls = []
+    search = diagram.reversal_matching
+    monkeypatch.setattr(diagram, "reversal_matching",
+                        lambda rule: calls.append(rule) or search(rule))
+    diagram._reversal.cache_clear()
+    evaluate_word(gens, [("a", 1), ("d", -1), ("e", 1), ("b", 1)] * 8)
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_power_and_order(gens):
