@@ -81,10 +81,7 @@ def cmd_d(args):
 
 def cmd_commutator(args):
     f = _word_diagram(args.word)
-    # D(e) = 2, so f = c o e^k with k = log2 D(f), and f is a commutator
-    # exactly when k = 0
-    k = analysis.log2(analysis.global_derivative(f))
-    c = f.compose(_tables()["airplane"]["e"].power(-k))
+    c, k = analysis.semidirect_split(f, _tables()["airplane"]["e"])
     member = k == 0
     _emit(args, {"in_commutator": member, "epsilon_exponent": k,
                  "commutator_part": c.to_json()},

@@ -141,8 +141,9 @@ class GraphPairDiagram:
         system = self.system
         mapping = dict(self.mapping)
         dom, ran = set(self.domain.internal), set(self.range.internal)
-        work = sorted({core.parent(a) for a in mapping} - {None})
+        work = list({core.parent(a) for a in mapping} - {None})
         if rng is not None:
+            work.sort()
             rng.shuffle(work)
         while work:
             a = work.pop()
