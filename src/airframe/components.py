@@ -532,6 +532,19 @@ def enumerate_components(max_den, max_depth):
     return out
 
 
+def ordered_pairs(items, sample=None, rng=None):
+    """The ordered pairs of distinct items, in row order, or `sample` of
+    them drawn by rng.sample as if from the full list (which is never
+    built: sample depends only on the population's length)."""
+    n = len(items)
+    picks = range(n * (n - 1))
+    if sample is not None:
+        picks = rng.sample(picks, sample)
+    for p in picks:
+        i, j = divmod(p, n - 1)
+        yield items[i], items[j + (j >= i)]
+
+
 def check_k_transitivity(k, gen_set="five", max_den=8, word_bound=30,
                          max_depth=2, sample=None, rng=None):
     """Check that ordered k-tuples of components map to a fixed
@@ -547,10 +560,7 @@ def check_k_transitivity(k, gen_set="five", max_den=8, word_bound=30,
                     or act_word(word, c) != ():
                 failures.append(format_path(c))
     elif k == 2:
-        pairs = [(x, y) for x in comps for y in comps if x != y]
-        if sample is not None:
-            pairs = rng.sample(pairs, sample)
-        for c1, c2 in pairs:
+        for c1, c2 in ordered_pairs(comps, sample, rng):
             word = solve_pair(c1, c2)
             checked += 1
             ok = (word is not None

@@ -20,7 +20,7 @@ def format_address(addr):
     base, path = addr
     if not path:
         return base
-    return base + "." + "-".join(str(k) for k in path)
+    return base + "." + "-".join(map(str, path))
 
 
 def parent(addr):
@@ -98,6 +98,10 @@ class ReplacementSystem:
         self.name = name
         self.base = base
         self.rules = dict(rules)
+        # per color, the colors of a cell's children in child order; the
+        # length is the rule's arity
+        self.child_colors = {c: tuple(e[1] for e in r.graph.edges)
+                             for c, r in self.rules.items()}
 
     def rule_for(self, color):
         return self.rules[color]
@@ -115,10 +119,10 @@ class ReplacementSystem:
 
     def color_of(self, addr):
         base, path = addr
-        color, _, _ = self.base.by_id[base]
+        color = self.base.by_id[base][0]
+        child_colors = self.child_colors
         for i in path:
-            rule = self.rules[color]
-            color = rule.graph.edges[i][1]
+            color = child_colors[color][i]
         return color
 
     def to_json(self):

@@ -147,20 +147,17 @@ class GraphPairDiagram:
             rng.shuffle(work)
         while work:
             a = work.pop()
-            rule = system.rule_for(system.color_of(a))
-            n = rule.arity()
+            color = system.color_of(a)
+            n = len(system.child_colors[color])
             images = [mapping.get(child(a, i)) for i in range(n)]
             if None in images:
                 continue
             b = core.parent(images[0][0])
             if b is None or any(core.parent(c) != b for c, _ in images):
                 continue
-            got = [(c[1][-1], r) for c, r in images]
-            if got == [(i, False) for i in range(n)]:
-                flag = False
-            elif tuple(got) == _reversal(rule):
-                flag = True
-            else:
+            flag = _collapse_flag(system, color,
+                                  tuple((c[1][-1], r) for c, r in images))
+            if flag is None:
                 continue
             for i in range(n):
                 del mapping[child(a, i)]
@@ -268,13 +265,35 @@ def _reversal(rule):
     return None if sigma is None else tuple(sigma[i] for i in sorted(sigma))
 
 
+@functools.cache
+def _straight(n):
+    return tuple((i, False) for i in range(n))
+
+
+def _matching(system, color, rev):
+    """How the children of a pair of color cells pair up: (child index,
+    reversed?) by child index, for a straight or a reversed pair."""
+    if not rev:
+        return _straight(len(system.child_colors[color]))
+    sigma = _reversal(system.rules[color])
+    if sigma is None:
+        raise ValueError("rule for color %r has no reversal" % color)
+    return sigma
+
+
+def _collapse_flag(system, color, got):
+    """The flag of the pair that children pairing up as got collapse
+    to, or None if they do not collapse."""
+    if got == _straight(len(system.child_colors[color])):
+        return False
+    if got == _reversal(system.rules[color]):
+        return True
+    return None
+
+
 def _child_pairs(system, a, b, rev):
     """The pairs that replace the pair a -> b (reversed if rev)."""
-    rule = system.rule_for(system.color_of(a))
-    n = rule.arity()
-    sigma = _reversal(rule) if rev else [(i, False) for i in range(n)]
-    if sigma is None:
-        raise ValueError("rule for color %r has no reversal" % rule.color)
+    sigma = _matching(system, system.color_of(a), rev)
     return [(child(a, i), (child(b, j), r)) for i, (j, r) in enumerate(sigma)]
 
 
@@ -293,11 +312,12 @@ def _refined(f, target):
 
 def _internal_from_leaves(leaves):
     internal = set()
-    for a in leaves:
-        p = core.parent(a)
-        while p is not None:
+    for base, path in leaves:
+        for n in range(len(path) - 1, -1, -1):
+            p = (base, path[:n])
+            if p in internal:
+                break
             internal.add(p)
-            p = core.parent(p)
     return internal
 
 
@@ -315,15 +335,148 @@ def evaluate_word(table, word):
     """Evaluate a word as a diagram.
 
     table: {name: GraphPairDiagram}; word: list of (name, exponent),
-    applied right to left like function composition.
+    applied right to left like function composition.  Each factor acts
+    on the left of the running product, in time proportional to the
+    factor plus the cells of the product it refines.
     """
-    power = functools.cache(lambda name, exp: table[name].power(exp))
-    factors = [power(name, exp) for name, exp in word]
-    if not factors:
-        return identity(next(iter(table.values())).system)
-    # pairwise rounds: each round costs time linear in the leaves
-    while len(factors) > 1:
-        factors = [factors[i].compose(factors[i + 1])
-                   if i + 1 < len(factors) else factors[i]
-                   for i in range(0, len(factors), 2)]
-    return factors[0]
+    if len(word) == 1:
+        name, exp = word[0]
+        return table[name].power(exp)
+    system = next(iter(table.values())).system
+    factor = functools.cache(
+        lambda name, exp: _Factor(table[name].power(exp)))
+    roots = [[None, False, (eid, ()), False, color]
+             for eid, color, _, _ in system.base.edges]
+    for name, exp in reversed(word):
+        roots = factor(name, exp).act(roots)
+    return _diagram(system, roots)
+
+
+# --- left-action word evaluation ---------------------------------------------
+#
+# evaluate_word keeps the range of the running product p as a forest of
+# mutable nodes [children, lazy, domain address, flag, color], one root per
+# base edge; a node's range address is its position.  children is None at
+# a leaf, whose pair is domain address -> position, reversed if flag !=
+# lazy.  A set lazy bit means the node's subtree is stored as it was before
+# the end-for-end reversal of its cell: clearing it (_push) moves stored
+# child i to position j and flips its lazy bit if (j, flip) is the rule's
+# reversal matching at i.  So moving a subtree costs O(1) even when the
+# pair that moves it is reversed.
+
+
+class _Factor:
+    """A reduced diagram g, numbered for the left action p -> g o p.
+
+    The cells of each side are numbered breadth first, base edges first,
+    so the children of the k-th internal cell take the next free numbers.
+    walk lists g's domain internals in that order; pairs holds (domain
+    number, range number, reversed) for g's leaf pairs; joins holds
+    (number, first child number, end, color) for g's range internals,
+    deepest first.
+    """
+
+    def __init__(self, g):
+        self.system = g.system
+        dom, walk = self._numbered(g.domain.internal)
+        rng, self.joins = self._numbered(g.range.internal)
+        self.walk = [k for k, _, _, _ in walk]
+        self.pairs = [(dom[a], rng[b], r) for a, (b, r) in g.mapping.items()]
+        self.joins.reverse()
+        self.size = len(rng)
+
+    def _numbered(self, internal):
+        child_colors = self.system.child_colors
+        cells = [((eid, ()), color)
+                 for eid, color, _, _ in self.system.base.edges]
+        number, internals = {}, []
+        for k, (a, color) in enumerate(cells):  # cells grows as we go
+            number[a] = k
+            if a in internal:
+                kids = child_colors[color]
+                internals.append((k, len(cells), len(cells) + len(kids),
+                                  color))
+                cells += [(child(a, i), c) for i, c in enumerate(kids)]
+        return number, internals
+
+    def act(self, roots):
+        """The forest of g o p, given the forest of p; reuses p's nodes."""
+        system = self.system
+        # 1. refine p's range to g's domain, reaching g's domain leaves
+        nodes = list(roots)
+        for k in self.walk:
+            node = nodes[k]
+            if node[0] is None:
+                _split(system, node)
+            elif node[1]:
+                _push(system, node)
+            nodes += node[0]
+        # 2. re-hang each reached subtree at the image of its cell
+        out = [None] * self.size
+        for k, j, rev in self.pairs:
+            node = nodes[k]
+            if rev:
+                node[1] = not node[1]
+            out[j] = node
+        # 3. g's range internals are the only nodes that can collapse
+        for j, first, end, color in self.joins:
+            out[j] = _joined(system, out[first:end], color)
+        return out[:len(roots)]
+
+
+def _split(system, node):
+    """Expand a leaf's pair in place into its child pairs."""
+    _, lazy, a, flag, color = node
+    colors = system.child_colors[color]
+    kids = [None] * len(colors)
+    for i, (j, r) in enumerate(_matching(system, color, flag != lazy)):
+        kids[j] = [None, False, child(a, i), r, colors[j]]
+    node[0], node[1], node[2] = kids, False, None
+
+
+def _push(system, node):
+    """Clear an internal node's lazy bit, one level down."""
+    kids = node[0]
+    out = [None] * len(kids)
+    for kid, (j, r) in zip(kids, _matching(system, node[4], True)):
+        if r:
+            kid[1] = not kid[1]
+        out[j] = kid
+    node[0], node[1] = out, False
+
+
+def _joined(system, kids, color):
+    """A fresh internal node over kids, or the leaf it collapses to when
+    the kids are leaves holding every child of one domain cell, paired
+    straight or by the reversal matching."""
+    node = [kids, False, None, False, color]
+    a = core.parent(kids[0][2]) if kids[0][0] is None else None
+    if a is None:
+        return node
+    got = [None] * len(kids)
+    for j, (grand, lazy, d, flag, _) in enumerate(kids):
+        # a differently colored cell can have more children than kids
+        if grand is not None or core.parent(d) != a or d[1][-1] >= len(got):
+            return node
+        got[d[1][-1]] = (j, flag != lazy)
+    flag = _collapse_flag(system, color, tuple(got))
+    return node if flag is None else [None, False, a, flag, color]
+
+
+def _diagram(system, roots):
+    """The diagram a forest holds, clearing lazy bits on the way."""
+    mapping, ran = {}, set()
+    stack = [((eid, ()), node)
+             for (eid, _, _, _), node in zip(system.base.edges, roots)]
+    while stack:
+        x, node = stack.pop()
+        if node[0] is None:
+            mapping[node[2]] = (x, node[3] != node[1])
+            continue
+        if node[1]:
+            _push(system, node)
+        ran.add(x)
+        stack += [(child(x, j), kid) for j, kid in enumerate(node[0])]
+    dom = _internal_from_leaves(mapping)
+    return GraphPairDiagram(system, Expansion(system, dom),
+                            Expansion(system, ran), mapping)

@@ -67,9 +67,16 @@ def moves_to_vertex(moves):
 
 def airplane_tree_action(table, word, vertex):
     """Act on a FrakC vertex by a word over alpha..delta."""
+    return _airplane_image(_airplane_diagram(table, word), vertex)
+
+
+def _airplane_diagram(table, word):
     if any(name == "e" for name, _ in word):
         raise ValueError("epsilon does not preserve the component tree")
-    f = evaluate_word(table, word)
+    return evaluate_word(table, word)
+
+
+def _airplane_image(f, vertex):
     img = comp.map_component(f, vertex_to_path(vertex))
     out = frak_c_membership(img)
     if out is None:
@@ -119,9 +126,11 @@ def map_basilica_component(f, loop_addr):
 
 
 def basilica_tree_action(table, word, vertex):
-    f = evaluate_word(table, word)
-    img = map_basilica_component(f, vertex_to_loop(vertex))
-    return basilica_vertex(img)
+    return _basilica_image(evaluate_word(table, word), vertex)
+
+
+def _basilica_image(f, vertex):
+    return basilica_vertex(map_basilica_component(f, vertex_to_loop(vertex)))
 
 
 # --- the identification and the intertwine check -----------------------------
@@ -170,16 +179,17 @@ def intertwine_check(depth, branch_denominator_bound, pairing=None,
     bt = basilica_table if basilica_table is not None \
         else basilica_generators()
     pairs = pairing if pairing is not None else CANONICAL_PAIRING
+    diagrams = [(aname, bname, _airplane_diagram(at, [(aname, 1)]),
+                 evaluate_word(bt, [(bname, 1)])) for aname, bname in pairs]
     mismatches = []
     checked = 0
     for moves in truncated_vertices(depth, branch_denominator_bound):
         v = moves_to_vertex(moves)
         bv = identify(moves)
-        for aname, bname in pairs:
+        for aname, bname, f, g in diagrams:
             checked += 1
-            left = identify(vertex_moves(
-                airplane_tree_action(at, [(aname, 1)], v)))
-            right = basilica_tree_action(bt, [(bname, 1)], bv)
+            left = identify(vertex_moves(_airplane_image(f, v)))
+            right = _basilica_image(g, bv)
             if left != right:
                 mismatches.append({
                     "vertex": [str(m) for m in moves],

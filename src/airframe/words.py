@@ -22,6 +22,8 @@ class WordSyntaxError(ValueError):
 
 
 MAX_LETTERS = 4096  # the longest word that flatten may build
+MAX_NESTING = 100  # the deepest word that the recursive parse, flatten
+                   # and pretty may handle
 
 LONG_NAMES = {"alpha": "a", "beta": "b", "gamma": "g",
               "delta": "d", "epsilon": "e"}
@@ -51,6 +53,7 @@ class Parser:
         self.src = src
         self.toks = tokenize(src)
         self.i = 0
+        self.open = 0  # brackets open at the current token
 
     def peek(self):
         return self.toks[self.i][0] if self.i < len(self.toks) else None
@@ -70,25 +73,28 @@ class Parser:
         return tok, pos
 
     def parse(self):
-        expr, _ = self.word()
+        expr, _, _ = self.word()
         if self.i < len(self.toks):
             raise WordSyntaxError("trailing input %r" % self.peek(),
                                   self.pos())
         return expr
 
-    # word, factor and primary return (expression, flattened length), so
-    # a word too long to flatten fails before any letter list is built
+    # word, factor and primary return (expression, flattened length,
+    # height), so a word too long to flatten or too deep to recurse over
+    # fails before any letter list is built
     def word(self):
-        parts, n = [], 0
+        parts, n, h = [], 0, 0
         while not parts or self.peek() not in (None, ")", "]", ","):
             pos = self.pos()
-            expr, m = self.factor()
+            expr, m, g = self.factor()
             parts.append(expr)
-            n = _bounded(n + m, pos)
-        return (parts[0] if len(parts) == 1 else ("seq", parts)), n
+            n, h = _bounded(n + m, pos), max(h, g)
+        if len(parts) == 1:
+            return parts[0], n, h
+        return ("seq", parts), n, _nested(h + 1, pos)
 
     def factor(self):
-        expr, n = self.primary()
+        expr, n, h = self.primary()
         while self.peek() in ("'", "^"):
             tok, pos = self.take()
             if tok == "'":
@@ -100,28 +106,32 @@ class Parser:
                     expr = ("pow", expr, int(k))
                     n = _bounded(n * abs(int(k)), pos)
                 else:
-                    y, m = self.primary()
+                    y, m, g = self.primary()
                     expr, n = ("conj", expr, y), _bounded(n + 2 * m, pos)
-        return expr, n
+                    h = max(h, g)
+            h = _nested(h + 1, pos)
+        return expr, n, h
 
     def primary(self):
         tok = self.peek()
-        if tok == "(":
-            self.take()
-            out = self.word()
-            self.take(")")
-            return out
-        if tok == "[":
-            self.take()
-            x, n = self.word()
-            self.take(",")
-            y, m = self.word()
-            self.take("]")
-            return ("comm", x, y), 2 * (n + m)
+        if tok in ("(", "["):
+            _, pos = self.take()
+            self.open = _nested(self.open + 1, pos)
+            x, n, h = self.word()
+            if tok == "(":
+                self.take(")")
+            else:
+                self.take(",")
+                y, m, g = self.word()
+                self.take("]")
+                x, n, h = ("comm", x, y), 2 * (n + m), _nested(
+                    max(h, g) + 1, pos)
+            self.open -= 1
+            return x, n, h
         tok, pos = self.take()
         if re.fullmatch(r"-?\d+", tok):
             raise WordSyntaxError("number %r is not a generator" % tok, pos)
-        return ("atom", LONG_NAMES.get(tok, tok)), 1
+        return ("atom", LONG_NAMES.get(tok, tok)), 1, 1
 
 
 def _bounded(n, pos):
@@ -129,6 +139,13 @@ def _bounded(n, pos):
         raise WordSyntaxError("word longer than %d letters" % MAX_LETTERS,
                               pos)
     return n
+
+
+def _nested(h, pos):
+    if h > MAX_NESTING:
+        raise WordSyntaxError("word nested deeper than %d levels"
+                              % MAX_NESTING, pos)
+    return h
 
 
 def parse_word(src):

@@ -8,8 +8,8 @@ import pytest
 import airframe
 from airframe import cli
 from airframe.diagram import GraphPairDiagram
-from airframe.words import (MAX_LETTERS, WordSyntaxError, flatten, parse_word,
-                            pretty)
+from airframe.words import (MAX_LETTERS, MAX_NESTING, WordSyntaxError, flatten,
+                            parse_word, pretty)
 
 
 def run(capsys, *argv):
@@ -135,14 +135,41 @@ def test_parse_diagnostics_have_offsets():
     assert ei.value.pos == 6
 
 
-def test_huge_exponent_fails_fast():
+def eval_subprocess(word):
     src = os.path.dirname(os.path.dirname(airframe.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-m", "airframe.cli", "eval", "a^1000000"],
+    return subprocess.run(
+        [sys.executable, "-m", "airframe.cli", "eval", word],
         env=env, capture_output=True, text=True, timeout=10)
+
+
+def test_huge_exponent_fails_fast():
+    done = eval_subprocess("a^1000000")
     assert done.returncode == 1
     assert "at offset 1" in done.stderr
+
+
+@pytest.mark.parametrize("word", ["(" * 400 + "a" + ")" * 400,
+                                  "a" + "'" * 3000])
+def test_deep_nesting_fails_cleanly(word):
+    done = eval_subprocess(word)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: word nested deeper than %d levels"
+                                  " (at offset %d)" % (MAX_NESTING,
+                                                       MAX_NESTING))
+    assert "Traceback" not in done.stderr
+
+
+def test_nesting_bound():
+    n = MAX_NESTING
+    for s in ["(" * n + "a b" + ")" * n, "a" + "'" * (n - 1)]:
+        assert parse_word(pretty(parse_word(s))) == parse_word(s)
+        assert len(flatten(parse_word(s))) in (1, 2)
+    for s, pos in [("(" * (n + 1) + "a" + ")" * (n + 1), n),
+                   ("b a" + "'" * n, 2 + n)]:
+        with pytest.raises(WordSyntaxError) as ei:
+            parse_word(s)
+        assert ei.value.pos == pos
 
 
 def test_word_length_bound():

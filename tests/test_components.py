@@ -162,3 +162,12 @@ def test_enumeration_counts():
     assert len(comp.enumerate_components(8, 0)) == 1
     assert len(comp.enumerate_components(8, 1)) == 1 + 8 * 7
     assert len(comp.enumerate_components(8, 2)) == 1 + 56 + 56 * 42
+
+
+def test_sampled_pairs_match_the_full_pair_list():
+    comps = comp.enumerate_components(4, 2)
+    full = [(x, y) for x in comps for y in comps if x != y]
+    assert list(comp.ordered_pairs(comps)) == full
+    for seed in range(5):
+        picked = list(comp.ordered_pairs(comps, 20, random.Random(seed)))
+        assert picked == random.Random(seed).sample(full, 20)
