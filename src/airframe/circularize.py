@@ -99,7 +99,7 @@ def phi_diagram(f):
                 # each side's walking orientation
                 mapping[pa] = (qb, False)
                 mapping[qa] = (pb, False)
-    out = GraphPairDiagram(circular_system(), dom, rng, mapping)
-    if not out.validate():
+    out = GraphPairDiagram(circular_system(), mapping)
+    if not (out.validate() and out.domain == dom and out.range == rng):
         raise ValueError("correspondence produced an invalid diagram")
     return out.reduce()

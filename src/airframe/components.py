@@ -56,21 +56,6 @@ def validate_path(path):
 # Positions come from airframe.geometry: a blue edge spans (source,
 # target) of its ray, a boundary arc (start, width) of its circle.
 
-def ray_of(blue_addr):
-    """The base of the maximal ray this blue edge lies on."""
-    return geometry.line_of(AIRPLANE, blue_addr)
-
-
-def blue_span(blue_addr):
-    """(source, target) positions of a blue edge on its ray."""
-    return geometry.span(AIRPLANE, blue_addr)
-
-
-def circle_position(blue_addr):
-    ps, pt = blue_span(blue_addr)
-    return (ps + pt) / 2
-
-
 def component_of_red(red_addr):
     """The creating blue edge of the circle this arc bounds (None =
     central)."""
@@ -82,9 +67,11 @@ def component_path(creating_blue):
     """Creating blue edge (or None) -> component path."""
     if creating_blue is None:
         return ()
-    circle, theta = geometry.attachment(AIRPLANE, ray_of(creating_blue))
+    circle, theta = geometry.attachment(
+        AIRPLANE, geometry.line_of(AIRPLANE, creating_blue))
     host = None if circle is None else parent(circle)
-    return component_path(host) + ((theta, circle_position(creating_blue)),)
+    s, t = geometry.span(AIRPLANE, creating_blue)
+    return component_path(host) + ((theta, (s + t) / 2),)
 
 
 def path_to_component(path):
@@ -367,32 +354,24 @@ def _ray_value_fn(word):
     return fn
 
 
+# The commutator generating set: [d,e], [e^-1, e^-1 a] and their
+# inverses, written in the five generators; each counts as one symbol.
+COMMUTATOR_SYMBOLS = (
+    (("d", 1), ("e", 1), ("d", 1), ("e", -1)),
+    (("e", 1), ("d", 1), ("e", -1), ("d", 1)),
+    (("e", -1), ("e", -1), ("a", 1), ("e", 1), ("a", -1), ("e", 1)),
+    (("e", -1), ("a", 1), ("e", -1), ("a", -1), ("e", 1), ("e", 1)),
+)
+
+
 def _l_moves(gen_set):
-    moves = []
     if gen_set == "five":
         basic = [[("e", 1)], [("e", -1)],
                  [("a", 1), ("e", 1), ("a", -1)],
                  [("a", 1), ("e", -1), ("a", -1)]]
     else:
-        de = [("d", 1), ("e", 1), ("d", 1), ("e", -1)]      # [d,e]
-        dei = [("e", 1), ("d", 1), ("e", -1), ("d", 1)]     # its inverse
-        f2 = [("e", -1), ("e", -1), ("a", 1), ("e", 1), ("a", -1), ("e", 1)]
-        f2i = [(n, -s) for n, s in reversed(f2)]
-        basic = [de, dei, f2, f2i]
-    for w in basic:
-        moves.append((w, _ray_value_fn(w)))
-    return moves
-
-
-# In the commutator generating set, [d,e] and [e^-1, e^-1 a] count as
-# single symbols; their expansions in terms of the five generators are
-# the keys below.
-COMMUTATOR_SYMBOL_COSTS = {
-    tuple([("d", 1), ("e", 1), ("d", 1), ("e", -1)]): 1,
-    tuple([("e", 1), ("d", 1), ("e", -1), ("d", 1)]): 1,
-    tuple([("e", -1), ("e", -1), ("a", 1), ("e", 1), ("a", -1), ("e", 1)]): 1,
-    tuple([("e", 1), ("a", 1), ("e", -1), ("a", -1), ("e", 1), ("e", 1)]): 1,
-}
+        basic = COMMUTATOR_SYMBOLS
+    return [(w, _ray_value_fn(w)) for w in basic]
 
 
 def word_cost(word, gen_set):
@@ -401,18 +380,11 @@ def word_cost(word, gen_set):
         return len(word)
     cost = 0
     i = 0
-    word = list(word)
+    word = tuple(word)
     while i < len(word):
-        matched = False
-        for pat, c in COMMUTATOR_SYMBOL_COSTS.items():
-            if tuple(word[i:i + len(pat)]) == pat:
-                cost += c
-                i += len(pat)
-                matched = True
-                break
-        if not matched:
-            cost += 1
-            i += 1
+        cost += 1
+        i += next((len(pat) for pat in COMMUTATOR_SYMBOLS
+                   if word[i:i + len(pat)] == pat), 1)
     return cost
 
 

@@ -6,13 +6,12 @@ Internally an address is a pair (base_id, (3, 0)).
 """
 
 import json
-from .union_find import UnionFind
 
 
 def parse_address(s):
     if "." in s:
         base, rest = s.split(".", 1)
-        return (base, tuple(int(k) for k in rest.split("-")))
+        return (base, tuple(map(int, rest.split("-"))))
     return (s, ())
 
 
@@ -89,9 +88,6 @@ class ReplacementRule:
         self.color = color
         self.graph = graph
 
-    def arity(self):
-        return len(self.graph.edges)
-
 
 class ReplacementSystem:
     def __init__(self, name, base, rules):
@@ -102,9 +98,6 @@ class ReplacementSystem:
         # length is the rule's arity
         self.child_colors = {c: tuple(e[1] for e in r.graph.edges)
                              for c, r in self.rules.items()}
-
-    def rule_for(self, color):
-        return self.rules[color]
 
     def colors(self):
         seen = []
@@ -189,22 +182,24 @@ class Expansion:
             return addr[0] in self.system.base.by_id
         if p not in self.internal:
             return False
-        arity = self.system.rule_for(self.system.color_of(p)).arity()
-        return addr[1][-1] < arity
+        color = self.system.color_of(p)
+        return addr[1][-1] < len(self.system.child_colors[color])
 
     def leaves(self):
+        """The leaves in preorder: base edges in order, children in
+        child order."""
+        child_colors = self.system.child_colors
         out = []
-
-        def walk(addr):
+        stack = [((eid, ()), color)
+                 for eid, color, _, _ in reversed(self.system.base.edges)]
+        while stack:
+            addr, color = stack.pop()
             if addr in self.internal:
-                color = self.system.color_of(addr)
-                for i in range(self.system.rule_for(color).arity()):
-                    walk(child(addr, i))
+                kids = child_colors[color]
+                stack += [(child(addr, i), kids[i])
+                          for i in range(len(kids) - 1, -1, -1)]
             else:
                 out.append(addr)
-
-        for eid, _, _, _ in self.system.base.edges:
-            walk((eid, ()))
         return out
 
     def expand(self, addr):
@@ -219,15 +214,6 @@ class Expansion:
 
     def __hash__(self):
         return hash(self.internal)
-
-
-def full_expansion(system, n):
-    """Expand every edge n times."""
-    exp = Expansion(system)
-    for _ in range(n):
-        for leaf in exp.leaves():
-            exp = exp.expand(leaf)
-    return exp
 
 
 def common_refinement(e1, e2):
@@ -252,32 +238,48 @@ def _token_str(tok):
     return format_address(tok[1]) + ":" + tok[0]
 
 
+def find(forest, tok):
+    """The root of tok's class in a union-find forest {token: parent}."""
+    root = forest.setdefault(tok, tok)
+    while forest[root] != root:
+        root = forest[root]
+    while forest[tok] != root:  # path compression
+        forest[tok], tok = root, forest[tok]
+    return root
+
+
 def _endpoint_tokens(expansion):
+    """The union-find forest that glues the endpoint tokens."""
     system = expansion.system
-    uf = UnionFind()
+    forest = {}
+
+    def union(a, b):
+        root = find(forest, a)
+        forest[find(forest, b)] = root
+
     for eid, _, src, tgt in system.base.edges:
-        uf.union(("s", (eid, ())), ("v", src))
-        uf.union(("t", (eid, ())), ("v", tgt))
+        union(("s", (eid, ())), ("v", src))
+        union(("t", (eid, ())), ("v", tgt))
     for a in sorted(expansion.internal, key=format_address):
-        rule = system.rule_for(system.color_of(a))
+        rule = system.rules[system.color_of(a)]
         for i, (_, _, u, w) in enumerate(rule.graph.edges):
             c = child(a, i)
             for slot, v in (("s", u), ("t", w)):
                 if v == "i":
-                    uf.union((slot, c), ("s", a))
+                    union((slot, c), ("s", a))
                 elif v == "t":
-                    uf.union((slot, c), ("t", a))
+                    union((slot, c), ("t", a))
                 else:
-                    uf.union((slot, c), ("r", a, v))
-    return uf
+                    union((slot, c), ("r", a, v))
+    return forest
 
 
 def realize_graph(expansion):
     """The realized graph of an expansion, with canonical vertex names."""
-    uf = _endpoint_tokens(expansion)
+    forest = _endpoint_tokens(expansion)
     classes = {}
-    for tok in uf.forest:
-        classes.setdefault(uf.find(tok), []).append(tok)
+    for tok in forest:
+        classes.setdefault(find(forest, tok), []).append(tok)
     names = {}
     for root, toks in classes.items():
         named = [t for t in toks if t[0] in ("v", "r")]
@@ -285,7 +287,7 @@ def realize_graph(expansion):
     edges = []
     for a in expansion.leaves():
         color = expansion.system.color_of(a)
-        src = names[uf.find(("s", a))]
-        tgt = names[uf.find(("t", a))]
+        src = names[find(forest, ("s", a))]
+        tgt = names[find(forest, ("t", a))]
         edges.append((format_address(a), color, src, tgt))
     return Graph(edges)

@@ -55,28 +55,31 @@ def reversal_matching(rule):
 
 
 class GraphPairDiagram:
-    def __init__(self, system, domain, range_, mapping):
+    """A diagram is its leaf mapping {domain leaf: (range leaf,
+    reversed?)}; both expansions are the parent-closures of its leaves,
+    derived on first use."""
+
+    def __init__(self, system, mapping):
         self.system = system
-        self.domain = domain
-        self.range = range_
         self.mapping = dict(mapping)
+
+    @functools.cached_property
+    def domain(self):
+        return Expansion(self.system, _internal_from_leaves(self.mapping))
+
+    @functools.cached_property
+    def range(self):
+        return Expansion(self.system, _internal_from_leaves(
+            b for b, _ in self.mapping.values()))
 
     @classmethod
     def from_strings(cls, system, pairs):
         """Build a diagram from (domain addr, range addr[, reversed]) triples."""
-        dom_leaves = []
-        rng_leaves = []
         mapping = {}
         for pair in pairs:
-            a = parse_address(pair[0])
-            b = parse_address(pair[1])
             rev = bool(pair[2]) if len(pair) > 2 else False
-            dom_leaves.append(a)
-            rng_leaves.append(b)
-            mapping[a] = (b, rev)
-        dom = Expansion(system, _internal_from_leaves(dom_leaves))
-        rng = Expansion(system, _internal_from_leaves(rng_leaves))
-        return cls(system, dom, rng, mapping)
+            mapping[parse_address(pair[0])] = (parse_address(pair[1]), rev)
+        return cls(system, mapping)
 
     # -- validity ----------------------------------------------------
 
@@ -101,8 +104,8 @@ class GraphPairDiagram:
         for a, (b, rev) in self.mapping.items():
             ends = (("s", "s"), ("t", "t")) if not rev else (("s", "t"), ("t", "s"))
             for da, rb in ends:
-                u = duf.find((da, a))
-                w = ruf.find((rb, b))
+                u = core.find(duf, (da, a))
+                w = core.find(ruf, (rb, b))
                 if u in vmap and vmap[u] != w:
                     return None
                 vmap[u] = w
@@ -117,21 +120,32 @@ class GraphPairDiagram:
         mapping = dict(self.mapping)
         del mapping[a]
         mapping.update(_child_pairs(self.system, a, b, rev))
-        return GraphPairDiagram(self.system, self.domain.expand(a),
-                                self.range.expand(b), mapping)
+        return GraphPairDiagram(self.system, mapping)
 
     def leaf_image(self, a):
         """Where the first leaf at or below cell a (following child 0)
-        goes, expanding pairs until a is a node of the domain tree."""
-        f = self
-        while not (f.domain.is_leaf(a) or a in f.domain.internal):
-            p = a
-            while not f.domain.is_leaf(p):
-                p = core.parent(p)
-            f = f.expand_pair(p)
-        while a in f.domain.internal:
-            a = child(a, 0)
-        return f.mapping[a][0]
+        goes once pairs are expanded until a is a node of the domain tree:
+        the image of a's domain-leaf ancestor, followed down the rest of
+        a's path through the child pairings."""
+        system, mapping = self.system, self.mapping
+        base, path = a
+        n = 0
+        while n <= len(path) and (base, path[:n]) not in mapping:
+            n += 1
+        if n > len(path):  # a is an internal node of the domain
+            system.color_of(a)  # raises unless the system has cell a
+            while a not in mapping:
+                a = child(a, 0)
+            return mapping[a][0]
+        p = (base, path[:n])
+        (b, image), rev = mapping[p]
+        color = system.color_of(p)
+        tail = []
+        for i in path[n:]:
+            j, rev = _matching(system, color, rev)[i]
+            tail.append(j)
+            color = system.child_colors[color][i]
+        return (b, image + tuple(tail))
 
     def reduce(self, rng=None):
         """The unique reduced form.  rng, if given, shuffles the collapse
@@ -140,7 +154,6 @@ class GraphPairDiagram:
         that pushes the parent of each collapse is enough."""
         system = self.system
         mapping = dict(self.mapping)
-        dom, ran = set(self.domain.internal), set(self.range.internal)
         work = list({core.parent(a) for a in mapping} - {None})
         if rng is not None:
             work.sort()
@@ -162,14 +175,11 @@ class GraphPairDiagram:
             for i in range(n):
                 del mapping[child(a, i)]
             mapping[a] = (b, flag)
-            dom.remove(a)
-            ran.remove(b)
             if a[1]:  # not a base edge
                 work.append(core.parent(a))
         if len(mapping) == len(self.mapping):
             return self
-        return GraphPairDiagram(system, Expansion(system, dom),
-                                Expansion(system, ran), mapping)
+        return GraphPairDiagram(system, mapping)
 
     # -- group operations ----------------------------------------------
 
@@ -178,28 +188,20 @@ class GraphPairDiagram:
         if self.system is not other.system:
             raise ValueError("diagrams over different systems")
         mid = other.range.internal | self.domain.internal
-        left, dom_grown = _refined(other.invert(), mid)
-        right, rng_grown = _refined(self, mid)
+        left = _refined(other.invert(), mid)
+        right = _refined(self, mid)
         mapping = {}
         for b, (a, r1) in left.items():
             c, r2 = right[b]
             mapping[a] = (c, r1 != r2)
-        system = self.system
-        out = GraphPairDiagram(
-            system, Expansion(system, other.domain.internal | dom_grown),
-            Expansion(system, self.range.internal | rng_grown), mapping)
-        return out.reduce()
+        return GraphPairDiagram(self.system, mapping).reduce()
 
     def invert(self):
         mapping = {b: (a, r) for a, (b, r) in self.mapping.items()}
-        return GraphPairDiagram(self.system, self.range, self.domain, mapping)
+        return GraphPairDiagram(self.system, mapping)
 
     def equals(self, other):
-        a = self.reduce()
-        b = other.reduce()
-        return (a.domain.internal == b.domain.internal
-                and a.range.internal == b.range.internal
-                and a.mapping == b.mapping)
+        return self.reduce().mapping == other.reduce().mapping
 
     def is_identity(self):
         d = self.reduce()
@@ -218,15 +220,6 @@ class GraphPairDiagram:
     def conjugate(self, g):
         """self conjugated by g: g^-1 after self after g."""
         return g.invert().compose(self).compose(g)
-
-    def order_up_to(self, n):
-        """The order of the diagram if it is at most n, else None."""
-        p = identity(self.system)
-        for k in range(1, n + 1):
-            p = p.compose(self)
-            if p.is_identity():
-                return k
-        return None
 
     # -- serialization --------------------------------------------------
 
@@ -299,15 +292,12 @@ def _child_pairs(system, a, b, rev):
 
 def _refined(f, target):
     """f's mapping expanded in place until the domain is the parent-closed
-    target (cells by depth, so each is a leaf when its turn comes), and
-    the range cells expanded on the way."""
+    target (cells by depth, so each is a leaf when its turn comes)."""
     mapping = dict(f.mapping)
-    grown = set()
     for a in sorted(target - f.domain.internal, key=lambda a: len(a[1])):
         b, rev = mapping.pop(a)
         mapping.update(_child_pairs(f.system, a, b, rev))
-        grown.add(b)
-    return mapping, grown
+    return mapping
 
 
 def _internal_from_leaves(leaves):
@@ -321,10 +311,9 @@ def _internal_from_leaves(leaves):
     return internal
 
 
-def identity(system, expansion=None):
-    exp = expansion if expansion is not None else Expansion(system)
-    mapping = {a: (a, False) for a in exp.leaves()}
-    return GraphPairDiagram(system, exp, exp, mapping)
+def identity(system):
+    return GraphPairDiagram(system, {(eid, ()): ((eid, ()), False)
+                                     for eid, _, _, _ in system.base.edges})
 
 
 def commutator(g, h):
@@ -465,7 +454,7 @@ def _joined(system, kids, color):
 
 def _diagram(system, roots):
     """The diagram a forest holds, clearing lazy bits on the way."""
-    mapping, ran = {}, set()
+    mapping = {}
     stack = [((eid, ()), node)
              for (eid, _, _, _), node in zip(system.base.edges, roots)]
     while stack:
@@ -475,8 +464,5 @@ def _diagram(system, roots):
             continue
         if node[1]:
             _push(system, node)
-        ran.add(x)
         stack += [(child(x, j), kid) for j, kid in enumerate(node[0])]
-    dom = _internal_from_leaves(mapping)
-    return GraphPairDiagram(system, Expansion(system, dom),
-                            Expansion(system, ran), mapping)
+    return GraphPairDiagram(system, mapping)

@@ -14,15 +14,6 @@ from .core import Graph, ReplacementRule, ReplacementSystem
 from .diagram import GraphPairDiagram
 
 
-class DyadicRational(Fraction):
-    def __new__(cls, *args):
-        self = super().__new__(cls, *args)
-        d = self.denominator
-        if d & (d - 1):
-            raise ValueError("not dyadic: %s" % self)
-        return self
-
-
 def is_dyadic(x):
     return x.denominator & (x.denominator - 1) == 0
 

@@ -20,7 +20,7 @@ from .core import child
 from . import components as comp, geometry
 from .diagram import evaluate_word
 from .geometry import BASILICA, HALF
-from .systems import basilica_generators, is_dyadic
+from .systems import airplane_generators, basilica_generators, is_dyadic
 
 INC = "inc"  # step outward to the next midpoint circle on this ray
 
@@ -169,15 +169,10 @@ def truncated_vertices(depth, bound):
     return out
 
 
-def intertwine_check(depth, branch_denominator_bound, pairing=None,
-                     airplane_table=None, basilica_table=None):
+def intertwine_check(depth, branch_denominator_bound, pairing=None):
     """Check on the truncated trees that each paired generator acts the
     same way on both sides of the identification.  Returns a report."""
-    from .systems import airplane_generators
-    at = airplane_table if airplane_table is not None \
-        else airplane_generators()
-    bt = basilica_table if basilica_table is not None \
-        else basilica_generators()
+    at, bt = airplane_generators(), basilica_generators()
     pairs = pairing if pairing is not None else CANONICAL_PAIRING
     diagrams = [(aname, bname, _airplane_diagram(at, [(aname, 1)]),
                  evaluate_word(bt, [(bname, 1)])) for aname, bname in pairs]

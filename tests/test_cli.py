@@ -143,6 +143,20 @@ def eval_subprocess(word):
         env=env, capture_output=True, text=True, timeout=10)
 
 
+def test_deep_diagram_exports_and_round_trips():
+    # addresses 1500 levels deep: past the interpreter's recursion limit
+    src = os.path.dirname(os.path.dirname(airframe.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "airframe.cli", "eval", "--dot", "a^1500"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("digraph")
+    f = cli._word_diagram("a^1500")
+    back = GraphPairDiagram.from_json(f.system, f.to_json())  # validates
+    assert back.mapping == f.mapping
+
+
 def test_huge_exponent_fails_fast():
     done = eval_subprocess("a^1000000")
     assert done.returncode == 1

@@ -171,3 +171,13 @@ def test_sampled_pairs_match_the_full_pair_list():
     for seed in range(5):
         picked = list(comp.ordered_pairs(comps, 20, random.Random(seed)))
         assert picked == random.Random(seed).sample(full, 20)
+
+
+def test_each_commutator_symbol_costs_one():
+    words = [w for w, _ in comp._l_moves("commutator")]
+    assert tuple(map(tuple, words)) == comp.COMMUTATOR_SYMBOLS
+    for w in words:
+        assert comp.word_cost(w, "commutator") == 1
+    # the symbols come in inverse pairs: [d,e] and [e^-1, e^-1 a]
+    for w, w_inv in (words[:2], words[2:]):
+        assert evaluate_word(table(), list(w) + list(w_inv)).is_identity()

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from airframe.core import (Expansion, child, common_refinement,
-                           format_address, full_expansion, parent,
-                           parse_address, realize_graph, validate_system)
+                           format_address, parent, parse_address,
+                           realize_graph, validate_system)
 from airframe.systems import (airplane, basilica, circle_system,
                               circular_airplane, interval_system)
 
@@ -22,6 +22,15 @@ def test_systems_validate():
     for builder in (airplane, basilica, interval_system, circle_system,
                     circular_airplane):
         assert validate_system(builder())
+
+
+def full_expansion(system, n):
+    """Every edge expanded n times."""
+    exp = Expansion(system)
+    for _ in range(n):
+        for leaf in exp.leaves():
+            exp = exp.expand(leaf)
+    return exp
 
 
 def test_airplane_leaf_counts():

@@ -23,9 +23,9 @@ words = st.lists(
 
 
 def test_reversal_matchings(A):
-    red = reversal_matching(A.rule_for("red"))
+    red = reversal_matching(A.rules["red"])
     assert red == {0: (1, True), 1: (0, True), 2: (2, False)}
-    blue = reversal_matching(A.rule_for("blue"))
+    blue = reversal_matching(A.rules["blue"])
     # the half turn: the two arcs of the midpoint circle swap straight
     assert blue == {0: (3, False), 1: (2, False), 2: (1, False),
                     3: (0, False)}
@@ -131,10 +131,13 @@ def test_reversal_matching_runs_once_per_rule(monkeypatch, gens):
 
 
 def test_power_and_order(gens):
+    def order_up_to(f, n):
+        return next((k for k in range(1, n + 1) if f.power(k).is_identity()),
+                    None)
     db = gens["d"].compose(gens["b"])
-    assert db.order_up_to(5) == 3
-    assert gens["d"].order_up_to(3) == 2
-    assert gens["e"].order_up_to(6) is None
+    assert order_up_to(db, 5) == 3
+    assert order_up_to(gens["d"], 3) == 2
+    assert order_up_to(gens["e"], 6) is None
 
 
 def test_commutator_of_commuting_elements(gens):

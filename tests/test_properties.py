@@ -1,12 +1,14 @@
 """Group axioms and reduction canonicity on random words of up to 20
-letters over the Airplane generators, and word evaluation against the
-letter-by-letter product over all four generator tables."""
+letters over the Airplane generators, word evaluation against the
+letter-by-letter product over all four generator tables, and leaf images
+against pair expansion."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from airframe.core import child, parent
 from airframe.diagram import GraphPairDiagram, evaluate_word, identity
 from airframe.systems import (airplane_generators, basilica_generators,
                               circle_generators, interval_generators)
@@ -69,3 +71,38 @@ def test_evaluate_word_is_the_letter_by_letter_product(system, data):
     assert f.to_json() == product.to_json()
     assert f.domain == product.domain and f.range == product.range
     assert f.reduce() is f
+
+
+def expanded_leaf_image(f, a):
+    """The reference for leaf_image: expand pairs until a is a node of the
+    domain tree, then follow child 0 down to a leaf."""
+    while not (f.domain.is_leaf(a) or a in f.domain.internal):
+        p = a
+        while not f.domain.is_leaf(p):
+            p = parent(p)
+        f = f.expand_pair(p)
+    while a in f.domain.internal:
+        a = child(a, 0)
+    return f.mapping[a][0]
+
+
+@pytest.mark.parametrize("system", ["airplane", "airplane+flip", "basilica"])
+def test_leaf_image_is_the_image_after_expansion(system):
+    table = TABLES[system]
+    names = sorted(table)
+    rng = random.Random(system)
+    kinds = set()
+    for _ in range(40):
+        f = evaluate_word(table, [(rng.choice(names), rng.choice([1, -1]))
+                                  for _ in range(rng.randrange(13))])
+        child_colors = f.system.child_colors
+        for _ in range(25):
+            # a random cell up to 8 levels deep
+            eid, color, _, _ = rng.choice(f.system.base.edges)
+            a = (eid, ())
+            for _ in range(rng.randrange(9)):
+                i = rng.randrange(len(child_colors[color]))
+                a, color = child(a, i), child_colors[color][i]
+            kinds.add(a in f.domain.internal)
+            assert f.leaf_image(a) == expanded_leaf_image(f, a)
+    assert kinds == {True, False}

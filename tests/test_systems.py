@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from airframe.diagram import commutator, evaluate_word
-from airframe.systems import (DyadicRational, PLMap, circle_generators,
-                              interval_generators, is_dyadic)
+from airframe.systems import (PLMap, circle_generators, interval_generators,
+                              is_dyadic)
 
 
 F = Fraction
@@ -12,9 +12,6 @@ H = F(1, 2)
 
 
 def test_dyadic_type():
-    assert DyadicRational(3, 8) == F(3, 8)
-    with pytest.raises(ValueError):
-        DyadicRational(1, 3)
     assert is_dyadic(F(5, 16)) and not is_dyadic(F(1, 6))
 
 
