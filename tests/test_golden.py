@@ -14,9 +14,10 @@ import random
 from pathlib import Path
 
 from airframe import analysis, circularize, components as comp, trees
-from airframe.core import format_address
-from airframe.diagram import evaluate_word
-from airframe.systems import airplane_generators
+from airframe.core import child, format_address, realize_graph
+from airframe.diagram import GraphPairDiagram, evaluate_word
+from airframe.systems import (airplane_generators, basilica_generators,
+                              circle_generators, interval_generators)
 from airframe.words import flatten, parse_word
 
 CORPUS = Path(__file__).with_name("golden_corpus.json")
@@ -61,6 +62,77 @@ def random_word_cases(table, n=1000):
         yield "random %04d %s" % (i, src), f.reduce().to_json()
 
 
+def _tables():
+    return {"airplane": airplane_generators(),
+            "basilica": basilica_generators(),
+            "interval": interval_generators(),
+            "circle": circle_generators()}
+
+
+def _table_word(rng, table, max_len):
+    return [(rng.choice(sorted(table)), rng.choice([1, -1]))
+            for _ in range(rng.randint(1, max_len))]
+
+
+def dot_cases(tables):
+    """The DOT bytes of the realized domains of seeded words over each
+    table, and of their circularizations for the Airplane."""
+    rng = random.Random(4417)
+    for name, table in sorted(tables.items()):
+        words = [_table_word(rng, table, 14) for _ in range(25)]
+        words += [[(sorted(table)[0], 30)], [(sorted(table)[-1], -25)]]
+        for w in words:
+            f = evaluate_word(table, w)
+            key = "dot %s %s" % (name, " ".join("%s^%d" % x for x in w))
+            yield key, realize_graph(f.domain).to_dot()
+            if name == "airplane":
+                g = circularize.phi_diagram(f)
+                yield "phi " + key, realize_graph(g.domain).to_dot()
+
+
+def corrupted(rng, f):
+    """Seeded corruptions of f's mapping: two images swapped (between
+    cells of one color when there are two), a flag flipped, a leaf
+    missing, a leaf replaced by its first child."""
+    items = sorted(f.mapping.items())
+    color = f.system.color_of
+    a, (b, r) = rng.choice(items)
+    same = [x for x in items if x[0] != a and color(x[0]) == color(a)]
+    c, (d, s) = rng.choice(same or [x for x in items if x[0] != a]
+                           or items)
+    yield "swap", _with(f.mapping, {a: (d, r), c: (b, s)})
+    yield "flip", _with(f.mapping, {a: (b, not r)})
+    missing = dict(f.mapping)
+    del missing[a]
+    yield "missing", missing
+    replaced = dict(f.mapping)
+    del replaced[a]
+    replaced[child(a, 0)] = (b, r)
+    yield "child", replaced
+
+
+def _with(mapping, changes):
+    out = dict(mapping)
+    out.update(changes)
+    return out
+
+
+def validate_cases(tables):
+    """validate() verdicts of seeded words and of corruptions of them."""
+    rng = random.Random(5521)
+    for name, table in sorted(tables.items()):
+        for _ in range(15):
+            w = _table_word(rng, table, 10)
+            f = evaluate_word(table, w)
+            verdicts = {"valid": f.validate()}
+            for kind, mapping in corrupted(rng, f):
+                verdicts[kind] = GraphPairDiagram(f.system,
+                                                  mapping).validate()
+            yield ("validate %s %s" % (name, " ".join("%s^%d" % x
+                                                       for x in w)),
+                   verdicts)
+
+
 def component_cases(table):
     moves = [table[n] if s > 0 else table[n].invert()
              for s in (1, -1) for n in "abgde"]
@@ -92,10 +164,12 @@ def digests(cases):
 
 
 def all_digests():
-    table = airplane_generators()
+    tables = _tables()
+    table = tables["airplane"]
     out = {}
     for cases in (word_cases(table), random_word_cases(table),
-                  component_cases(table), vertex_cases()):
+                  component_cases(table), vertex_cases(),
+                  dot_cases(tables), validate_cases(tables)):
         out.update(digests(cases))
     return out
 
