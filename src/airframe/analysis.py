@@ -26,21 +26,7 @@ def blue_edge_length(system, addr):
     return Fraction(abs(t - s), d)
 
 
-def is_extreme_edge(system, addr):
-    """Is this blue edge's target the tip of a ray?"""
-    color, _, t, d, _ = geometry.walk(system, addr)
-    return color == "blue" and t == d
-
-
 # --- the derivative homomorphism D ----------------------------------------
-
-def extremal_derivative_at(f, addr):
-    """D_p = 2^(r-d) at the extreme held by the domain leaf addr."""
-    b, _ = f.mapping[addr]
-    d = -log2(blue_edge_length(f.system, addr))
-    r = -log2(blue_edge_length(f.system, b))
-    return Fraction(2) ** (r - d)
-
 
 def log2(x):
     n = 0
@@ -55,13 +41,22 @@ def log2(x):
     return n
 
 
+def _extremal_derivatives(f):
+    """D_p at each extreme p of f: the length of a domain leaf whose
+    target is a ray tip over the length of its image.  A valid diagram
+    maps tips to tips and expanding an extreme pair halves both lengths,
+    so f need not be reduced."""
+    for a, color, s, t, d in geometry.leaf_positions(f.domain):
+        if color == "blue" and t == d:
+            b, _ = f.mapping[a]
+            yield Fraction(t - s, d) / blue_edge_length(f.system, b)
+
+
 def global_derivative(f):
-    """The product of the extremal derivatives of the reduced diagram."""
-    f = f.reduce()
+    """The product of the extremal derivatives."""
     out = Fraction(1)
-    for a in f.mapping:
-        if is_extreme_edge(f.system, a):
-            out *= extremal_derivative_at(f, a)
+    for dp in _extremal_derivatives(f):
+        out *= dp
     return out
 
 
@@ -75,9 +70,7 @@ def is_in_commutator(f):
 
 def is_in_E(f):
     """Trivial derivative at every extreme (not just in product)."""
-    f = f.reduce()
-    return all(extremal_derivative_at(f, a) == 1
-               for a in f.mapping if is_extreme_edge(f.system, a))
+    return all(dp == 1 for dp in _extremal_derivatives(f))
 
 
 def semidirect_split(f, epsilon):

@@ -50,26 +50,25 @@ def phi_expansion(expansion, order=None):
     """The circular expansion and edge correspondence of an Airplane
     expansion.  Independent of the order of simple expansions; `order`
     may supply any parents-before-children replay of them."""
-    system = expansion.system
     corr = EdgeCorrespondence.base()
-    circ = Expansion(circular_system())
     if order is not None:
         if sorted(order) != sorted(expansion.internal):
             raise ValueError("order must replay the expansion")
         todo = list(order)
     else:
         todo = sorted(expansion.internal, key=lambda a: (len(a[1]), a))
+    internal = []
     for a in todo:
-        if system.color_of(a) == "red":
+        if a in corr.single:  # a red cell
             b = corr.single[a]
-            circ = circ.expand(b)
+            internal.append(b)
             # arc splits in two, a fresh ray sprouts between them
             corr.single[child(a, 0)] = child(b, 0)
             corr.single[child(a, 1)] = child(b, 3)
             corr.pair[child(a, 2)] = (child(b, 1), child(b, 2))
         else:
             p, q = corr.pair[a]
-            circ = circ.expand(p).expand(q)
+            internal += (p, q)
             # the two sides of the halved ray interleave: the inner
             # half is seen co-side from one walk and anti-side from
             # the other, the midpoint circle contributes one arc each
@@ -77,7 +76,7 @@ def phi_expansion(expansion, order=None):
             corr.single[child(a, 1)] = child(q, 1)
             corr.single[child(a, 2)] = child(p, 1)
             corr.pair[child(a, 3)] = (child(p, 2), child(q, 0))
-    return circ, corr
+    return Expansion(circular_system(), internal), corr
 
 
 def phi_diagram(f):
@@ -86,7 +85,7 @@ def phi_diagram(f):
     rng, rcorr = phi_expansion(f.range)
     mapping = {}
     for a, (b, rev) in f.mapping.items():
-        if f.system.color_of(a) == "red":
+        if a in dcorr.single:
             mapping[dcorr.single[a]] = (rcorr.single[b], rev)
         else:
             pa, qa = dcorr.pair[a]

@@ -105,6 +105,8 @@ def cmd_orbit(args):
 
 
 def cmd_transitivity(args):
+    if args.depth_bound < 0:
+        raise ValueError("--depth-bound must be at least 0")
     rng = random.Random(args.seed)
     rep = components.check_k_transitivity(
         args.k, gen_set=args.generators, max_den=2 ** args.depth_bound,

@@ -35,7 +35,10 @@ def parse_path(s):
         if not (part.startswith("(") and part.endswith(")")):
             raise ValueError("bad component path %r" % s)
         t, l = part[1:-1].split(",")
-        out.append((Fraction(t), Fraction(l)))
+        try:
+            out.append((Fraction(t), Fraction(l)))
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % part) from None
     return validate_path(tuple(out))
 
 

@@ -188,18 +188,27 @@ class Expansion:
     def leaves(self):
         """The leaves in preorder: base edges in order, children in
         child order."""
-        child_colors = self.system.child_colors
-        out = []
-        stack = [((eid, ()), color)
-                 for eid, color, _, _ in reversed(self.system.base.edges)]
+        return list(self.realized())
+
+    def realized(self):
+        """{leaf: (color, source, target)} in preorder, from one walk down
+        the tree: a child's ends are its parent's ends where the rule
+        graph says "i" or "t", else the fresh vertex ("r", parent, name);
+        a base edge's ends are ("v", name)."""
+        rules = self.system.rules
+        out = {}
+        stack = [((eid, ()), color, ("v", src), ("v", tgt))
+                 for eid, color, src, tgt in reversed(self.system.base.edges)]
         while stack:
-            addr, color = stack.pop()
-            if addr in self.internal:
-                kids = child_colors[color]
-                stack += [(child(addr, i), kids[i])
-                          for i in range(len(kids) - 1, -1, -1)]
-            else:
-                out.append(addr)
+            addr, color, src, tgt = stack.pop()
+            if addr not in self.internal:
+                out[addr] = (color, src, tgt)
+                continue
+            ends = {"i": src, "t": tgt}
+            kids = [(child(addr, i), c, ends.get(u) or ("r", addr, u),
+                     ends.get(w) or ("r", addr, w))
+                    for i, (_, c, u, w) in enumerate(rules[color].graph.edges)]
+            stack += kids[::-1]
         return out
 
     def expand(self, addr):
@@ -223,71 +232,16 @@ def common_refinement(e1, e2):
 
 
 # --- realization ----------------------------------------------------------
-#
-# Endpoint tokens: ("v", name) for a base vertex, ("r", addr, name) for a
-# vertex introduced when addr was expanded, ("s"/"t", addr) for the
-# source/target slot of an edge.  Gluing the rule graphs into the base
-# identifies tokens; the canonical name of a realized vertex is the
-# lexicographically least serialized "v"/"r" token in its class.
 
-def _token_str(tok):
+def _vertex_name(tok):
     if tok[0] == "v":
         return tok[1]
-    if tok[0] == "r":
-        return format_address(tok[1]) + ":" + tok[2]
-    return format_address(tok[1]) + ":" + tok[0]
-
-
-def find(forest, tok):
-    """The root of tok's class in a union-find forest {token: parent}."""
-    root = forest.setdefault(tok, tok)
-    while forest[root] != root:
-        root = forest[root]
-    while forest[tok] != root:  # path compression
-        forest[tok], tok = root, forest[tok]
-    return root
-
-
-def _endpoint_tokens(expansion):
-    """The union-find forest that glues the endpoint tokens."""
-    system = expansion.system
-    forest = {}
-
-    def union(a, b):
-        root = find(forest, a)
-        forest[find(forest, b)] = root
-
-    for eid, _, src, tgt in system.base.edges:
-        union(("s", (eid, ())), ("v", src))
-        union(("t", (eid, ())), ("v", tgt))
-    for a in sorted(expansion.internal, key=format_address):
-        rule = system.rules[system.color_of(a)]
-        for i, (_, _, u, w) in enumerate(rule.graph.edges):
-            c = child(a, i)
-            for slot, v in (("s", u), ("t", w)):
-                if v == "i":
-                    union((slot, c), ("s", a))
-                elif v == "t":
-                    union((slot, c), ("t", a))
-                else:
-                    union((slot, c), ("r", a, v))
-    return forest
+    return format_address(tok[1]) + ":" + tok[2]
 
 
 def realize_graph(expansion):
-    """The realized graph of an expansion, with canonical vertex names."""
-    forest = _endpoint_tokens(expansion)
-    classes = {}
-    for tok in forest:
-        classes.setdefault(find(forest, tok), []).append(tok)
-    names = {}
-    for root, toks in classes.items():
-        named = [t for t in toks if t[0] in ("v", "r")]
-        names[root] = min(_token_str(t) for t in named)
-    edges = []
-    for a in expansion.leaves():
-        color = expansion.system.color_of(a)
-        src = names[find(forest, ("s", a))]
-        tgt = names[find(forest, ("t", a))]
-        edges.append((format_address(a), color, src, tgt))
-    return Graph(edges)
+    """The realized graph of an expansion: a base vertex keeps its name,
+    the fresh vertex v of the rule that expanded cell a is named "a:v"."""
+    return Graph((format_address(a), color, _vertex_name(src),
+                  _vertex_name(tgt))
+                 for a, (color, src, tgt) in expansion.realized().items())

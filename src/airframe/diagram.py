@@ -84,34 +84,23 @@ class GraphPairDiagram:
     # -- validity ----------------------------------------------------
 
     def validate(self):
-        dom_leaves = self.domain.leaves()
-        rng_leaves = self.range.leaves()
-        if set(self.mapping) != set(dom_leaves):
+        """Do the pairs cover both leaf sets, color for color, and glue
+        into a bijection of the realized vertices?"""
+        dom, rng = self.domain.realized(), self.range.realized()
+        if (dom.keys() != self.mapping.keys()
+                or {b for b, _ in self.mapping.values()} != rng.keys()
+                or len(rng) != len(dom)):
             return False
-        images = [b for b, _ in self.mapping.values()]
-        if sorted(images) != sorted(rng_leaves):
-            return False
-        for a, (b, _) in self.mapping.items():
-            if self.system.color_of(a) != self.system.color_of(b):
-                return False
-        return self._vertex_map() is not None
-
-    def _vertex_map(self):
-        """The induced map on realized vertices, or None if inconsistent."""
-        duf = core._endpoint_tokens(self.domain)
-        ruf = core._endpoint_tokens(self.range)
         vmap = {}
         for a, (b, rev) in self.mapping.items():
-            ends = (("s", "s"), ("t", "t")) if not rev else (("s", "t"), ("t", "s"))
-            for da, rb in ends:
-                u = core.find(duf, (da, a))
-                w = core.find(ruf, (rb, b))
-                if u in vmap and vmap[u] != w:
-                    return None
-                vmap[u] = w
-        if len(set(vmap.values())) != len(vmap):
-            return None
-        return vmap
+            color, src, tgt = dom[a]
+            image_color, u, w = rng[b]
+            if color != image_color:
+                return False
+            for x, y in ((src, w), (tgt, u)) if rev else ((src, u), (tgt, w)):
+                if vmap.setdefault(x, y) != y:
+                    return False
+        return len(set(vmap.values())) == len(vmap)
 
     # -- expansion and reduction --------------------------------------
 

@@ -75,6 +75,22 @@ def walk(system, addr):
     return color, s, t, d, start
 
 
+def leaf_positions(expansion):
+    """(leaf, color, s, t, d) for each leaf of an expansion, from one
+    walk down its tree."""
+    system = expansion.system
+    stack = [((eid, ()), color) + CENTRAL.get(eid, LINE)
+             for eid, color, _, _ in system.base.edges]
+    while stack:
+        a, color, s, t, d = stack.pop()
+        if a not in expansion.internal:
+            yield a, color, s, t, d
+            continue
+        graph = system.rules[color].graph
+        stack += [(child(a, i),) + _step(graph, s, t, d, i)[:4]
+                  for i in range(len(graph.edges))]
+
+
 def span(system, addr):
     """(source, target) position of a cell on its line."""
     _, s, t, d, _ = walk(system, addr)

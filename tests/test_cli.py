@@ -61,6 +61,18 @@ def test_transitivity(capsys):
     assert json.loads(out)["ok"]
 
 
+def test_orbit_zero_denominator_fails_cleanly(capsys):
+    code, _, err = run(capsys, "orbit", "(1/0,1/2)", "central")
+    assert code == 1
+    assert err.startswith("error: zero denominator")
+
+
+def test_negative_depth_bound_fails_cleanly(capsys):
+    code, _, err = run(capsys, "transitivity", "--depth-bound", "-1")
+    assert code == 1
+    assert err.startswith("error: --depth-bound")
+
+
 def test_circularize(capsys):
     code, out, _ = run(capsys, "circularize", "d")
     assert code == 0

@@ -1,13 +1,15 @@
 """Group axioms and reduction canonicity on random words of up to 20
 letters over the Airplane generators, word evaluation against the
-letter-by-letter product over all four generator tables, and leaf images
-against pair expansion."""
+letter-by-letter product over all four generator tables, leaf images
+against pair expansion, and the derivative D on unreduced diagrams and
+under compose."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from airframe import analysis, geometry
 from airframe.core import child, parent
 from airframe.diagram import GraphPairDiagram, evaluate_word, identity
 from airframe.systems import (airplane_generators, basilica_generators,
@@ -106,3 +108,32 @@ def test_leaf_image_is_the_image_after_expansion(system):
             kinds.add(a in f.domain.internal)
             assert f.leaf_image(a) == expanded_leaf_image(f, a)
     assert kinds == {True, False}
+
+
+def holds_tip(system, a):
+    """Is a's target the tip of a ray?"""
+    color, _, t, d, _ = geometry.walk(system, a)
+    return color == "blue" and t == d
+
+
+@settings(max_examples=100, deadline=None)
+@given(words, st.integers(0, 2 ** 30))
+def test_derivative_ignores_expanded_pairs(w, seed):
+    # D is read off unreduced diagrams: expand a pair whose domain leaf
+    # holds a ray tip, then random pairs
+    f = evaluate_word(G, w)
+    rng = random.Random(seed)
+    g = f.expand_pair(rng.choice([a for a in sorted(f.mapping)
+                                  if holds_tip(f.system, a)]))
+    for _ in range(rng.randrange(8)):
+        g = g.expand_pair(rng.choice(sorted(g.mapping)))
+    assert analysis.global_derivative(g) == analysis.global_derivative(f)
+    assert analysis.is_in_E(g) == analysis.is_in_E(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(words, words)
+def test_log2_derivative_is_additive(w1, w2):
+    f, g = evaluate_word(G, w1), evaluate_word(G, w2)
+    assert analysis.abelianization_image(f.compose(g)) == \
+        analysis.abelianization_image(f) + analysis.abelianization_image(g)
