@@ -11,6 +11,7 @@ which is only right when an output is meant to change.
 import hashlib
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 from airframe import analysis, circularize, components as comp, trees
@@ -149,6 +150,65 @@ def component_cases(table):
         }
 
 
+SIGNED = [(n, s) for s in (1, -1) for n in "abgde"]
+
+
+def _seeded_path(rng, max_depth, den):
+    """A component path of depth <= max_depth with denominators <= den."""
+    out = []
+    for k in range(rng.randint(0, max_depth)):
+        while True:
+            t = Fraction(rng.randrange(den), den)
+            if k == 0 or t not in (0, Fraction(1, 2)):
+                break
+        out.append((t, Fraction(rng.randrange(1, den), den)))
+    return tuple(out)
+
+
+def _chunks(items, size=100):
+    for i in range(0, len(items), size):
+        yield i, items[i:i + size]
+
+
+def act_cases():
+    """The coordinate action of the ten signed generators on every
+    component of (8, 2) and on seeded deeper paths, 100 paths a case."""
+    rng = random.Random(6203)
+    paths = (comp.enumerate_components(8, 2)
+             + [_seeded_path(rng, 5, 64) for _ in range(300)])
+    for i, chunk in _chunks(paths):
+        yield "act %04d" % i, [[comp.format_path(comp.act(n, s, p))
+                                for n, s in SIGNED] for p in chunk]
+
+
+def _word(w):
+    return None if w is None else " ".join(
+        "%s^%d" % x for x in w)
+
+
+def solver_cases():
+    """Solver words: to the center with both generating sets, and for
+    pairs; orbit words between the points of the CLI's orbit pool; the
+    1-transitivity reports at denominator 4."""
+    rng = random.Random(7331)
+    comps = comp.enumerate_components(8, 2)
+    for i, chunk in _chunks(rng.sample(comps, 300), 50):
+        for gen_set in ("five", "commutator"):
+            yield "solve %s %03d" % (gen_set, i), [
+                _word(comp.solve_to_center(c, gen_set)) for c in chunk]
+    pairs = [tuple(rng.sample(comps, 2)) for _ in range(100)]
+    for i, chunk in _chunks(pairs, 25):
+        yield "solve pair %03d" % i, [_word(comp.solve_pair(c1, c2))
+                                      for c1, c2 in chunk]
+    pool = comp.enumerate_components(4, 1)
+    for src in pool:
+        yield "orbit " + comp.format_path(src), [
+            _word(comp.orbit_search(src, tgt, 2)) for tgt in pool]
+    for gen_set in ("five", "commutator"):
+        yield ("transitivity 1 %s 4" % gen_set,
+               comp.check_k_transitivity(1, gen_set, 4))
+
+
 def vertex_cases():
     for moves in trees.truncated_vertices(2, 8):
         loop = trees.vertex_to_loop(trees.identify(moves))
@@ -169,7 +229,8 @@ def all_digests():
     out = {}
     for cases in (word_cases(table), random_word_cases(table),
                   component_cases(table), vertex_cases(),
-                  dot_cases(tables), validate_cases(tables)):
+                  dot_cases(tables), validate_cases(tables), act_cases(),
+                  solver_cases()):
         out.update(digests(cases))
     return out
 
