@@ -16,7 +16,7 @@ from fractions import Fraction
 from .core import child, parent
 from . import analysis, geometry
 from .geometry import AIRPLANE, HALF
-from .systems import PLMap, airplane_generators
+from .systems import airplane_generators
 
 
 def format_path(path):
@@ -106,85 +106,49 @@ def map_component(f, path):
 
 # --- coordinate actions of the generators ----------------------------------
 #
-# Each generator acts on component paths by a short case split; these
-# agree with map_component on the generator diagrams (property-tested)
-# and are what make breadth-first orbit search affordable.
+# Each generator acts on component paths through the map its diagram
+# induces: b, g, d turn the central circle, a and e slide along the
+# horizontal line Hor.  These agree with map_component on the generator
+# diagrams (property-tested) and make breadth-first orbit search
+# affordable.
 
 @functools.cache
 def _generator_maps():
-    """{(name, sign): PL map} of b, g, d on circle angles and of e on
-    right-ray positions (the interval map X0)."""
+    """{(name, sign): PL map}: the circle maps of b, g, d on the central
+    circle and the interval maps of a, e on Hor."""
     g = airplane_generators()
-    maps = {name: analysis.induced_boundary_map(g[name]) for name in "bgd"}
-    maps["e"] = PLMap([(0, 0), (Fraction(1, 4), HALF),
-                       (HALF, Fraction(3, 4)), (1, 1)])
-    return {(name, sign): m if sign > 0 else m.invert()
-            for name, m in maps.items() for sign in (1, -1)}
-
-
-def _act_value(name, sign, x):
-    """A generator's action on one coordinate: the leading angle for b,
-    g, d, the right-ray position for e."""
-    return _generator_maps()[name, sign](x)
+    maps = {n: analysis.induced_boundary_map(g[n]) for n in "bgd"}
+    maps.update((n, analysis.induced_hor_map(g[n])) for n in "ae")
+    return {(n, sign): m if sign > 0 else m.invert()
+            for n, m in maps.items() for sign in (1, -1)}
 
 
 def act(name, sign, path):
     """Apply a generator (sign = +-1) to a component path."""
-    if name in ("b", "g", "d"):
+    try:
+        h = _generator_maps()[name, sign]
+    except KeyError:
+        raise ValueError("unknown generator %r" % name) from None
+    if h.circle:
         if not path:
             return path
         (t, l), rest = path[0], path[1:]
-        return ((_act_value(name, sign, t), l),) + rest
-    if name == "e":
-        if path and path[0][0] == 0:
-            (t, l), rest = path[0], path[1:]
-            return ((t, _act_value("e", sign, l)),) + rest
-        return path
-    if name == "a":
-        return _act_alpha(path) if sign > 0 else _act_alpha_inv(path)
-    raise ValueError("unknown generator %r" % name)
-
-
-def _rot_head(rest):
-    """Half-turn of a circle: its own hanging angles shift by 1/2."""
-    if not rest:
-        return rest
-    (t, l), deeper = rest[0], rest[1:]
-    return (((t + HALF) % 1, l),) + deeper
-
-
-def _act_alpha(path):
-    if not path:
-        return ((Fraction(0), HALF),)
-    (t, l), rest = path[0], path[1:]
-    if t == 0:
-        return ((t, (1 + l) / 2),) + rest
-    if t == HALF:
-        if l < HALF:
-            # the inner left half-ray flips end for end onto the right
-            return ((Fraction(0), HALF - l),) + _rot_head(rest)
-        if l == HALF:
-            return rest  # that circle becomes the central one
-        return ((HALF, 2 * l - 1),) + rest
-    return ((Fraction(0), HALF), ((t + HALF) % 1, l)) + rest
-
-
-def _act_alpha_inv(path):
-    if not path:
-        return ((HALF, HALF),)
-    (t, l), rest = path[0], path[1:]
-    if t == HALF:
-        return ((t, (1 + l) / 2),) + rest
-    if t == 0:
-        if l < HALF:
-            return ((HALF, HALF - l),) + _rot_head(rest)
-        if l == HALF:
-            if not rest:
-                return ()
-            (t2, l2), rest2 = rest[0], rest[1:]
-            return (((t2 - HALF) % 1, l2),) + rest2
-        return ((Fraction(0), 2 * l - 1),) + rest
-    return ((HALF, HALF), (t, l)) + rest
+        return ((h(t), l),) + rest
+    # the circle where the path leaves Hor sits at x: a right-ray circle
+    # at (1+l)/2, a left-ray one at (1-l)/2, else the central one at 1/2
+    x, rest = HALF, path
+    if path and path[0][0] in (0, HALF):
+        (t, l), rest = path[0], path[1:]
+        x = (1 + l) / 2 if t == 0 else (1 - l) / 2
+    y = h(x)
+    head = () if y == HALF else ((Fraction(0), 2 * y - 1),) if y > HALF \
+        else ((HALF, 1 - 2 * y),)
+    # a circle's angle 0 faces the center: west on the right ray, east on
+    # the central circle and the left ray
+    if rest and (x > HALF) != (y > HALF):
+        (t, l), rest = rest[0], rest[1:]
+        rest = (((t + HALF) % 1, l),) + rest
+    return head + rest
 
 
 def act_word(word, path):
@@ -332,31 +296,6 @@ def _flatten(words):
     return out
 
 
-def _theta_moves(fix_half=False):
-    names = ["g"] if fix_half else ["b", "g", "d"]
-    moves = []
-    for n in names:
-        for s in (1, -1):
-            moves.append(([(n, s)], lambda x, n=n, s=s: _act_value(n, s, x)))
-    if fix_half:
-        for base in ("b", "g"):
-            for s in (1, -1):
-                w = [("d", 1), (base, s), ("d", 1)]
-                moves.append((w, lambda x, b=base, s=s: _act_value(
-                    "d", 1, _act_value(b, s, _act_value("d", 1, x)))))
-    return moves
-
-
-def _ray_value_fn(word):
-    """The action of a word on right-ray positions, via the path action."""
-    def fn(l):
-        out = act_word(word, ((Fraction(0), l),))
-        if len(out) != 1 or out[0][0] != 0:
-            raise ValueError("left the ray")
-        return out[0][1]
-    return fn
-
-
 # The commutator generating set: [d,e], [e^-1, e^-1 a] and their
 # inverses, written in the five generators; each counts as one symbol.
 COMMUTATOR_SYMBOLS = (
@@ -367,14 +306,28 @@ COMMUTATOR_SYMBOLS = (
 )
 
 
-def _l_moves(gen_set):
-    if gen_set == "five":
-        basic = [[("e", 1)], [("e", -1)],
-                 [("a", 1), ("e", 1), ("a", -1)],
-                 [("a", 1), ("e", -1), ("a", -1)]]
-    else:
-        basic = COMMUTATOR_SYMBOLS
-    return [(w, _ray_value_fn(w)) for w in basic]
+# The move words of each solver kind, tried in this order: "theta" turns
+# the leading angle, "stab" does so fixing angle 1/2, "five" and
+# "commutator" slide a right-ray position with that generating set.
+_MOVES = {
+    "theta": [[(n, s)] for n in "bgd" for s in (1, -1)],
+    "stab": [[("g", 1)], [("g", -1)]] + [[("d", 1), (n, s), ("d", 1)]
+                                         for n in "bg" for s in (1, -1)],
+    "five": [[("e", 1)], [("e", -1)], [("a", 1), ("e", 1), ("a", -1)],
+             [("a", 1), ("e", -1), ("a", -1)]],
+    "commutator": list(COMMUTATOR_SYMBOLS),
+}
+
+
+def _value_fn(word, angle):
+    """A word's action on one coordinate, via the path action: on the
+    angle t of ((t, 1/2),) if angle, else on the position l of ((0, l),)."""
+    def fn(v):
+        out = act_word(word, ((v, HALF),) if angle else ((Fraction(0), v),))
+        if len(out) != 1 or not angle and out[0][0] != 0:
+            raise ValueError("left the ray")
+        return out[0][0 if angle else 1]
+    return fn
 
 
 def word_cost(word, gen_set):
@@ -402,11 +355,9 @@ def _bfs_word(kind, start):
     goal, or None.  kind "theta" turns an angle to 0, "stab" does so
     fixing angle 1/2, "five" or "commutator" slides a right-ray position
     to 1/2 with that generating set."""
-    if kind in ("theta", "stab"):
-        goal, moves = Fraction(0), _theta_moves(fix_half=kind == "stab")
-    else:
-        goal, moves = HALF, _l_moves(kind)
-    word = _value_bfs(start, goal, moves)
+    angle = kind in ("theta", "stab")
+    moves = [(w, _value_fn(w, angle)) for w in _MOVES[kind]]
+    word = _value_bfs(start, Fraction(0) if angle else HALF, moves)
     return None if word is None else tuple(_flatten(word))
 
 

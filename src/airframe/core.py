@@ -233,15 +233,15 @@ def common_refinement(e1, e2):
 
 # --- realization ----------------------------------------------------------
 
-def _vertex_name(tok):
-    if tok[0] == "v":
-        return tok[1]
-    return format_address(tok[1]) + ":" + tok[2]
-
-
 def realize_graph(expansion):
     """The realized graph of an expansion: a base vertex keeps its name,
     the fresh vertex v of the rule that expanded cell a is named "a:v"."""
-    return Graph((format_address(a), color, _vertex_name(src),
-                  _vertex_name(tgt))
+    names = {}  # each vertex spelled once, not once per edge end
+
+    def name(tok):
+        if tok not in names:
+            names[tok] = tok[1] if tok[0] == "v" \
+                else format_address(tok[1]) + ":" + tok[2]
+        return names[tok]
+    return Graph((format_address(a), color, name(src), name(tgt))
                  for a, (color, src, tgt) in expansion.realized().items())

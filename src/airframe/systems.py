@@ -8,6 +8,7 @@ at the midpoint; a blue edge splits into an inner half, a circle of
 two red arcs at the midpoint, and an outer half.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from .core import Graph, ReplacementRule, ReplacementSystem
@@ -271,6 +272,19 @@ class PLMap:
         else:
             self._lift(breaks)  # raises unless increasing of degree one
         self.breaks = self._canonical(breaks)
+        # the pieces, over one period of the lift for a circle map: their
+        # left ends, which __call__ bisects, and their lines y = c + m x
+        # as integer ratios (cn, cd, mn, md), so a call builds one Fraction
+        pts = self.breaks
+        if circle:
+            pts = self._lift(pts)
+            pts.append((pts[0][0] + 1, pts[0][1] + 1))
+        self._x0s = [x for x, _ in pts[:-1]]
+        self._lines = []
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+            m = (y1 - y0) / (x1 - x0)
+            self._lines.append((y0 - m * x0).as_integer_ratio()
+                               + m.as_integer_ratio())
 
     def _canonical(self, breaks):
         if not self.circle:
@@ -305,9 +319,9 @@ class PLMap:
             return [(Fraction(0), (y - x) % 1)]
         return out
 
-    def _lift(self, breaks=None):
+    @staticmethod
+    def _lift(breaks):
         """Breakpoints with y lifted to an increasing sequence."""
-        breaks = self.breaks if breaks is None else breaks
         out = [breaks[0]]
         for x, y in breaks[1:]:
             while y <= out[-1][1]:
@@ -318,26 +332,18 @@ class PLMap:
         return out
 
     def __call__(self, x):
-        x = Fraction(x)
-        if not self.circle:
-            bs = self.breaks
-            for i in range(len(bs) - 1):
-                (x0, y0), (x1, y1) = bs[i], bs[i + 1]
-                if x0 <= x <= x1:
-                    return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
+        if self.circle:
+            x %= 1
+            if x < self._x0s[0]:
+                x += 1
+        elif not 0 <= x <= 1:
             raise ValueError("out of domain: %s" % x)
-        x = x % 1
-        lift = self._lift()
-        ext = lift + [(lift[0][0] + 1, lift[0][1] + 1)]
-        if x < ext[0][0]:
-            x += 1
-        for i in range(len(ext) - 1):
-            (x0, y0), (x1, y1) = ext[i], ext[i + 1]
-            if x0 <= x <= x1:
-                if x1 == x0:
-                    return y0 % 1
-                return (y0 + (x - x0) * (y1 - y0) / (x1 - x0)) % 1
-        raise AssertionError("unreachable")
+        cn, cd, mn, md = self._lines[bisect_right(self._x0s, x) - 1]
+        n, d = x.as_integer_ratio()
+        num, den = cn * md * d + mn * n * cd, cd * md * d
+        return Fraction(num % den if self.circle else num, den)
 
     def compose(self, other):
         """self after other."""

@@ -22,8 +22,8 @@ class WordSyntaxError(ValueError):
 
 
 MAX_LETTERS = 4096  # the longest word that flatten may build
-MAX_NESTING = 100  # the deepest word that the recursive parse, flatten
-                   # and pretty may handle
+MAX_NESTING = 100  # the deepest word that the recursive parse and
+                   # flatten may handle
 
 LONG_NAMES = {"alpha": "a", "beta": "b", "gamma": "g",
               "delta": "d", "epsilon": "e"}
@@ -150,28 +150,6 @@ def _nested(h, pos):
 
 def parse_word(src):
     return Parser(src).parse()
-
-
-def pretty(expr):
-    kind = expr[0]
-    if kind == "atom":
-        return expr[1]
-    if kind == "seq":
-        return " ".join(_wrap(p) for p in expr[1])
-    if kind == "inv":
-        return _wrap(expr[1]) + "'"
-    if kind == "pow":
-        return "%s^%d" % (_wrap(expr[1]), expr[2])
-    if kind == "conj":
-        return "%s^%s" % (_wrap(expr[1]), _wrap(expr[2]))
-    if kind == "comm":
-        return "[%s, %s]" % (pretty(expr[1]), pretty(expr[2]))
-    raise ValueError("bad node %r" % (expr,))
-
-
-def _wrap(expr):
-    return pretty(expr) if expr[0] in ("atom", "inv", "pow", "conj",
-                                       "comm") else "(%s)" % pretty(expr)
 
 
 def flatten(expr):

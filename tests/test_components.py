@@ -23,8 +23,8 @@ def table():
     return _TABLE
 
 
-dyadic8 = st.integers(1, 7).map(lambda k: F(k, 8))
-angles8 = st.integers(0, 7).map(lambda k: F(k, 8))
+dyadic32 = st.integers(1, 31).map(lambda k: F(k, 32))
+angles32 = st.integers(0, 31).map(lambda k: F(k, 32))
 
 
 @st.composite
@@ -32,9 +32,9 @@ def paths(draw, max_depth=3):
     depth = draw(st.integers(0, max_depth))
     out = []
     for i in range(depth):
-        t = draw(angles8 if i == 0 else
-                 dyadic8.filter(lambda x: x != H))
-        out.append((t, draw(dyadic8)))
+        t = draw(angles32 if i == 0 else
+                 dyadic32.filter(lambda x: x != H))
+        out.append((t, draw(dyadic32)))
     return tuple(out)
 
 
@@ -174,7 +174,7 @@ def test_sampled_pairs_match_the_full_pair_list():
 
 
 def test_each_commutator_symbol_costs_one():
-    words = [w for w, _ in comp._l_moves("commutator")]
+    words = comp._MOVES["commutator"]
     assert tuple(map(tuple, words)) == comp.COMMUTATOR_SYMBOLS
     for w in words:
         assert comp.word_cost(w, "commutator") == 1

@@ -1,8 +1,8 @@
 """Group axioms and reduction canonicity on random words of up to 20
 letters over the Airplane generators, word evaluation against the
 letter-by-letter product over all four generator tables, leaf images
-against pair expansion, and the derivative D on unreduced diagrams and
-under compose."""
+against pair expansion, the derivative D on unreduced diagrams and
+under compose, and the parser on arbitrary token strings."""
 
 import random
 
@@ -14,6 +14,7 @@ from airframe.core import child, parent
 from airframe.diagram import GraphPairDiagram, evaluate_word, identity
 from airframe.systems import (airplane_generators, basilica_generators,
                               circle_generators, interval_generators)
+from airframe.words import WordSyntaxError, parse_word
 
 G = airplane_generators()
 # The reflection in the horizontal line pairs red cells reversed, and the
@@ -137,3 +138,17 @@ def test_log2_derivative_is_additive(w1, w2):
     f, g = evaluate_word(G, w1), evaluate_word(G, w2)
     assert analysis.abelianization_image(f.compose(g)) == \
         analysis.abelianization_image(f) + analysis.abelianization_image(g)
+
+
+TOKENS = list("abgde0123456789-()[],'^ ") + ["alpha"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=40).map("".join))
+def test_parser_returns_a_word_or_a_located_error(src):
+    try:
+        expr = parse_word(src)
+    except WordSyntaxError as e:
+        assert 0 <= e.pos <= len(src)
+    else:
+        assert isinstance(expr, tuple)
