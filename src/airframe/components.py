@@ -117,10 +117,10 @@ def _generator_maps():
     """{(name, sign): PL map}: the circle maps of b, g, d on the central
     circle and the interval maps of a, e on Hor."""
     g = airplane_generators()
-    maps = {n: analysis.induced_boundary_map(g[n]) for n in "bgd"}
-    maps.update((n, analysis.induced_hor_map(g[n])) for n in "ae")
-    return {(n, sign): m if sign > 0 else m.invert()
-            for n, m in maps.items() for sign in (1, -1)}
+    maps = {name: analysis.induced_boundary_map(g[name]) for name in "bgd"}
+    maps.update((name, analysis.induced_hor_map(g[name])) for name in "ae")
+    return {(name, sign): m if sign > 0 else m.invert()
+            for name, m in maps.items() for sign in (1, -1)}
 
 
 def act(name, sign, path):
@@ -306,9 +306,8 @@ COMMUTATOR_SYMBOLS = (
 )
 
 
-# The move words of each solver kind, tried in this order: "theta" turns
-# the leading angle, "stab" does so fixing angle 1/2, "five" and
-# "commutator" slide a right-ray position with that generating set.
+# The move words of each solver kind (see _bfs_word) in the order the
+# search tries them, which breaks its ties between equally short words.
 _MOVES = {
     "theta": [[(n, s)] for n in "bgd" for s in (1, -1)],
     "stab": [[("g", 1)], [("g", -1)]] + [[("d", 1), (n, s), ("d", 1)]
