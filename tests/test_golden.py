@@ -16,10 +16,12 @@ from pathlib import Path
 
 from airframe import analysis, circularize, components as comp, trees
 from airframe.core import child, format_address, realize_graph
-from airframe.diagram import GraphPairDiagram, evaluate_word
+from airframe.diagram import (GraphPairDiagram, commutator, evaluate_word,
+                              identity)
 from airframe.systems import (airplane_generators, basilica_generators,
                               circle_generators, interval_generators)
 from airframe.words import flatten, parse_word
+from test_properties import FLIP, TABLES
 
 CORPUS = Path(__file__).with_name("golden_corpus.json")
 
@@ -89,6 +91,31 @@ def dot_cases(tables):
             if name == "airplane":
                 g = circularize.phi_diagram(f)
                 yield "phi " + key, realize_graph(g.domain).to_dot()
+
+
+POWERS = [0, 2, 3, 7, -5]
+
+
+def product_cases():
+    """Powers of seeded words over each table of test_properties (one
+    adds the reflection FLIP to the Airplane's) and of FLIP, conjugates
+    and commutators of seeded pairs, and the identity of each system."""
+    rng = random.Random(9029)
+    for name, table in sorted(TABLES.items()):
+        words = [_table_word(rng, table, 8) for _ in range(6)]
+        fs = [evaluate_word(table, w) for w in words]
+        for w, f in zip(words, fs):
+            key = " ".join("%s^%d" % x for x in w)
+            yield "power %s %s" % (name, key), [f.power(k).to_json()
+                                                 for k in POWERS]
+        pairs = [[evaluate_word(table, _table_word(rng, table, 6))
+                  for _ in range(2)] for _ in range(40)]
+        yield "conjugate %s" % name, [f.conjugate(g).to_json()
+                                      for f, g in pairs]
+        yield "commutator %s" % name, [commutator(f, g).to_json()
+                                       for f, g in pairs]
+        yield "identity %s" % name, identity(fs[0].system).to_json()
+    yield "power FLIP", [FLIP.power(k).to_json() for k in POWERS]
 
 
 def corrupted(rng, f):
@@ -230,7 +257,7 @@ def all_digests():
     for cases in (word_cases(table), random_word_cases(table),
                   component_cases(table), vertex_cases(),
                   dot_cases(tables), validate_cases(tables), act_cases(),
-                  solver_cases()):
+                  solver_cases(), product_cases()):
         out.update(digests(cases))
     return out
 
