@@ -204,10 +204,10 @@ def test_c10_circularization():
                     nxt[key] = e2
         frontier = nxt
     for e in exps.values():
-        ref, _ = cz.phi_expansion(e)
+        ref, _, _ = cz.phi_expansion(e)
         for _ in range(2):
             order = _parents_first_shuffle(e.internal, rng)
-            alt, _ = cz.phi_expansion(e, order=order)
+            alt, _, _ = cz.phi_expansion(e, order=order)
             assert alt.internal == ref.internal
     for _ in range(100):
         f = evaluate_word(G, rand_word(rng, 6))

@@ -9,31 +9,31 @@ NAMES = list("abgde")
 
 
 def test_base_image_is_the_six_cycle(A):
-    circ, corr = cz.phi_expansion(Expansion(A))
+    circ, single, pair = cz.phi_expansion(Expansion(A))
     assert len(circ.leaves()) == 6
-    assert corr.of(("rT", ())) == ("c1", ())
-    assert corr.of(("bL", ())) == (("c2", ()), ("c3", ()))
+    assert single[("rT", ())] == ("c1", ())
+    assert pair[("bL", ())] == (("c2", ()), ("c3", ()))
 
 
 def test_red_expansion_adds_three_edges(A):
     e = Expansion(A).expand(("rT", ()))
-    circ, _ = cz.phi_expansion(e)
+    circ, _, _ = cz.phi_expansion(e)
     assert len(circ.leaves()) == 9
 
 
 def test_blue_expansion_adds_four_edges(A):
     e = Expansion(A).expand(("bR", ()))
-    circ, _ = cz.phi_expansion(e)
+    circ, _, _ = cz.phi_expansion(e)
     assert len(circ.leaves()) == 10
 
 
 def test_correspondence_is_one_and_two(A):
     e = Expansion(A).expand(("bR", ())).expand(("rT", ()))
-    circ, corr = cz.phi_expansion(e)
+    circ, single, pair = cz.phi_expansion(e)
     reds = [a for a in e.leaves() if A.color_of(a) == "red"]
     blues = [a for a in e.leaves() if A.color_of(a) == "blue"]
-    imgs = [corr.of(a) for a in reds]
-    imgs += [c for a in blues for c in corr.of(a)]
+    imgs = [single[a] for a in reds]
+    imgs += [c for a in blues for c in pair[a]]
     assert sorted(imgs) == sorted(circ.leaves())
 
 
@@ -46,11 +46,11 @@ def test_order_independence(A):
             leaf = rng.choice(sorted(e.leaves()))
             steps.append(leaf)
             e = e.expand(leaf)
-        c1, _ = cz.phi_expansion(e)
+        c1, _, _ = cz.phi_expansion(e)
         e2 = Expansion(A)
         for leaf in _reachable_order(e, steps, rng):
             e2 = e2.expand(leaf)
-        c2, _ = cz.phi_expansion(e2)
+        c2, _, _ = cz.phi_expansion(e2)
         assert c1.internal == c2.internal
 
 
@@ -87,7 +87,7 @@ def test_phi_injective_two_rounds(A):
         frontier = nxt
     images = {}
     for key, e in exps.items():
-        circ, _ = cz.phi_expansion(e)
+        circ, _, _ = cz.phi_expansion(e)
         ck = frozenset(circ.internal)
         assert ck not in images, "two expansions flattened identically"
         images[ck] = key
