@@ -72,6 +72,12 @@ class GraphPairDiagram:
         return Expansion(self.system, _internal_from_leaves(
             b for b, _ in self.mapping.values()))
 
+    @functools.cached_property
+    def _factors(self):
+        """self and its inverse, reduced, numbered once for the left action."""
+        g = self.reduce()
+        return _Factor(g), _Factor(g.invert())
+
     @classmethod
     def from_strings(cls, system, pairs):
         """Build a diagram from (domain addr, range addr[, reversed]) triples."""
@@ -197,18 +203,16 @@ class GraphPairDiagram:
         return all(a == b and not r for a, (b, r) in d.mapping.items())
 
     def power(self, k):
-        """self^k by repeated squaring."""
-        if k < 0:
-            return self.invert().power(-k)
-        if k <= 1:
-            return self.reduce() if k else identity(self.system)
-        half = self.power(k // 2)
-        out = half.compose(half)
-        return out.compose(self) if k % 2 else out
+        """self^k as |k| left actions, the cost of the flattened word
+        (callers stay within words.MAX_LETTERS: the CLI flattens ^k, and
+        semidirect_split's k is a word's epsilon exponent)."""
+        return _product(self.system,
+                        itertools.repeat(self._factors[k < 0], abs(k)))
 
     def conjugate(self, g):
         """self conjugated by g: g^-1 after self after g."""
-        return g.invert().compose(self).compose(g)
+        return _product(self.system, [g._factors[0], self._factors[0],
+                                      g._factors[1]])
 
     # -- serialization --------------------------------------------------
 
@@ -301,38 +305,32 @@ def _internal_from_leaves(leaves):
 
 
 def identity(system):
-    return GraphPairDiagram(system, {(eid, ()): ((eid, ()), False)
-                                     for eid, _, _, _ in system.base.edges})
+    return _product(system, [])
 
 
 def commutator(g, h):
-    return g.compose(h).compose(g.invert()).compose(h.invert())
+    """g after h after g^-1 after h^-1."""
+    return _product(g.system, [h._factors[1], g._factors[1],
+                               h._factors[0], g._factors[0]])
 
 
 def evaluate_word(table, word):
     """Evaluate a word as a diagram.
 
     table: {name: GraphPairDiagram}; word: list of (name, exponent),
-    applied right to left like function composition.  Each factor acts
-    on the left of the running product, in time proportional to the
-    factor plus the cells of the product it refines.
+    applied right to left like function composition.  Each letter acts
+    |exponent| times on the left of the running product, in time
+    proportional to the letter plus the cells of the product it refines.
     """
-    if len(word) == 1:
-        name, exp = word[0]
-        return table[name].power(exp)
     system = next(iter(table.values())).system
-    factor = functools.cache(
-        lambda name, exp: _Factor(table[name].power(exp)))
-    roots = [[None, False, (eid, ()), False, color]
-             for eid, color, _, _ in system.base.edges]
-    for name, exp in reversed(word):
-        roots = factor(name, exp).act(roots)
-    return _diagram(system, roots)
+    return _product(system, (table[name]._factors[exp < 0]
+                             for name, exp in reversed(word)
+                             for _ in range(abs(exp))))
 
 
-# --- left-action word evaluation ---------------------------------------------
+# --- the left-action product -------------------------------------------------
 #
-# evaluate_word keeps the range of the running product p as a forest of
+# _product keeps the range of the running product p as a forest of
 # mutable nodes [children, lazy, domain address, flag, color], one root per
 # base edge; a node's range address is its position.  children is None at
 # a leaf, whose pair is domain address -> position, reversed if flag !=
@@ -341,6 +339,17 @@ def evaluate_word(table, word):
 # child i to position j and flips its lazy bit if (j, flip) is the rule's
 # reversal matching at i.  So moving a subtree costs O(1) even when the
 # pair that moves it is reversed.
+
+
+def _product(system, factors):
+    """The factors' left actions on the identity: [f1, f2] gives f2 o f1."""
+    roots = [[None, False, (eid, ()), False, color]
+             for eid, color, _, _ in system.base.edges]
+    for factor in factors:
+        if factor.system is not system:
+            raise ValueError("diagrams over different systems")
+        roots = factor.act(roots)
+    return _diagram(system, roots)
 
 
 class _Factor:

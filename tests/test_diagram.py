@@ -130,6 +130,30 @@ def test_reversal_matching_runs_once_per_rule(monkeypatch, gens):
     assert calls and len(calls) == len(set(calls))
 
 
+def test_each_letter_is_numbered_once(monkeypatch):
+    built = []
+    number = diagram._Factor
+    monkeypatch.setattr(diagram, "_Factor",
+                        lambda g: built.append(g) or number(g))
+    table = airplane_generators()
+    word = [("a", 1), ("d", -1), ("e", 1), ("b", 1)] * 8
+    first = evaluate_word(table, word)
+    assert built
+    built.clear()
+    assert evaluate_word(table, word).mapping == first.mapping
+    assert not built
+
+
+def test_products_reject_mixed_systems(gens, bgens):
+    a, x = gens["a"], bgens["a"]
+    table = {"a": a, "x": x}
+    for product in (lambda: a.conjugate(x), lambda: commutator(a, x),
+                    lambda: evaluate_word(table, [("x", 1)]),
+                    lambda: evaluate_word(table, [("a", 1), ("x", -1)])):
+        with pytest.raises(ValueError, match="different systems"):
+            product()
+
+
 def test_power_and_order(gens):
     def order_up_to(f, n):
         return next((k for k in range(1, n + 1) if f.power(k).is_identity()),

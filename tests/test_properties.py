@@ -1,6 +1,7 @@
 """Group axioms and reduction canonicity on random words of up to 20
 letters over the Airplane generators, word evaluation against the
-letter-by-letter product over all four generator tables, leaf images
+letter-by-letter product over all four generator tables, powers,
+conjugates and commutators against their compose chains, leaf images
 against pair expansion, the derivative D on unreduced diagrams and
 under compose, and the parser on arbitrary token strings."""
 
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from airframe import analysis, geometry
 from airframe.core import child, parent
-from airframe.diagram import GraphPairDiagram, evaluate_word, identity
+from airframe.diagram import (GraphPairDiagram, commutator, evaluate_word,
+                              identity)
 from airframe.systems import (airplane_generators, basilica_generators,
                               circle_generators, interval_generators)
 from airframe.words import WordSyntaxError, parse_word
@@ -74,6 +76,26 @@ def test_evaluate_word_is_the_letter_by_letter_product(system, data):
     assert f.to_json() == product.to_json()
     assert f.domain == product.domain and f.range == product.range
     assert f.reduce() is f
+
+
+@pytest.mark.parametrize("system", sorted(TABLES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_products_are_their_compose_chains(system, data):
+    table = TABLES[system]
+    letters = st.tuples(st.sampled_from(sorted(table)),
+                        st.sampled_from([1, -1]))
+    f, g = (evaluate_word(table, data.draw(st.lists(letters, max_size=12)))
+            for _ in range(2))
+    k = data.draw(st.integers(-6, 6))
+    product = identity(f.system)
+    for _ in range(abs(k)):
+        product = product.compose(f if k > 0 else f.invert())
+    assert f.power(k).to_json() == product.to_json()
+    assert (f.conjugate(g).to_json()
+            == g.invert().compose(f).compose(g).to_json())
+    assert (commutator(f, g).to_json() == f.compose(g).compose(
+        f.invert()).compose(g.invert()).to_json())
 
 
 def expanded_leaf_image(f, a):
