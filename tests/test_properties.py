@@ -87,6 +87,8 @@ def test_products_are_their_compose_chains(system, data):
                         st.sampled_from([1, -1]))
     f, g = (evaluate_word(table, data.draw(st.lists(letters, max_size=12)))
             for _ in range(2))
+    for _ in range(data.draw(st.integers(0, 2))):  # unreduced inputs too
+        f = f.expand_pair(data.draw(st.sampled_from(sorted(f.mapping))))
     k = data.draw(st.integers(-6, 6))
     product = identity(f.system)
     for _ in range(abs(k)):
