@@ -118,6 +118,28 @@ def product_cases():
     yield "power FLIP", [FLIP.power(k).to_json() for k in POWERS]
 
 
+def _expanded(rng, f, n):
+    for _ in range(n):
+        f = f.expand_pair(rng.choice(sorted(f.mapping)))
+    return f
+
+
+def compose_reduce_cases():
+    """Over each table of test_properties: f.compose(g) for seeded pairs
+    with 0-3 pairs expanded on each side, and reduce() of seeded words
+    expanded at 1-12 pairs."""
+    rng = random.Random(1153)
+    for name, table in sorted(TABLES.items()):
+        pairs = [[_expanded(rng, evaluate_word(
+            table, _table_word(rng, table, 8)), rng.randint(0, 3))
+            for _ in range(2)] for _ in range(40)]
+        yield "compose %s" % name, [f.compose(g).to_json()
+                                    for f, g in pairs]
+        fs = [_expanded(rng, evaluate_word(table, _table_word(rng, table, 8)),
+                        rng.randint(1, 12)) for _ in range(40)]
+        yield "reduce %s" % name, [f.reduce().to_json() for f in fs]
+
+
 def corrupted(rng, f):
     """Seeded corruptions of f's mapping: two images swapped (between
     cells of one color when there are two), a flag flipped, a leaf
@@ -257,7 +279,7 @@ def all_digests():
     for cases in (word_cases(table), random_word_cases(table),
                   component_cases(table), vertex_cases(),
                   dot_cases(tables), validate_cases(tables), act_cases(),
-                  solver_cases(), product_cases()):
+                  solver_cases(), product_cases(), compose_reduce_cases()):
         out.update(digests(cases))
     return out
 
