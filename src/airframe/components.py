@@ -100,7 +100,7 @@ def _ray_at(host, theta):
 def map_component(f, path):
     """The image component path of a component under a diagram."""
     e = path_to_component(path)
-    b = f.reduce().leaf_image(("rT", ()) if e is None else child(e, 1))
+    b = f.leaf_image(("rT", ()) if e is None else child(e, 1))
     return component_path(component_of_red(b))
 
 

@@ -9,6 +9,7 @@ involution of the rule graph that swaps the initial and terminal
 vertex.
 """
 
+import copy
 import functools
 import itertools
 import json
@@ -75,8 +76,8 @@ class GraphPairDiagram:
     @functools.cached_property
     def _factors(self):
         """self and its inverse, reduced, numbered once for the left action."""
-        g = self.reduce()
-        return _Factor(g), _Factor(g.invert())
+        factor = _Factor(self.reduce())
+        return factor, factor.inverse()
 
     @classmethod
     def from_strings(cls, system, pairs):
@@ -114,7 +115,9 @@ class GraphPairDiagram:
         b, rev = self.mapping[a]
         mapping = dict(self.mapping)
         del mapping[a]
-        mapping.update(_child_pairs(self.system, a, b, rev))
+        sigma = _matching(self.system, self.system.color_of(a), rev)
+        mapping.update((child(a, i), (child(b, j), r))
+                       for i, (j, r) in enumerate(sigma))
         return GraphPairDiagram(self.system, mapping)
 
     def leaf_image(self, a):
@@ -142,54 +145,16 @@ class GraphPairDiagram:
             color = system.child_colors[color][i]
         return (b, image + tuple(tail))
 
-    def reduce(self, rng=None):
-        """The unique reduced form.  rng, if given, shuffles the collapse
-        schedule (the result does not depend on it).  A node can only
-        become collapsible when a child collapses, so one worklist pass
-        that pushes the parent of each collapse is enough."""
-        system = self.system
-        mapping = dict(self.mapping)
-        work = list({core.parent(a) for a in mapping} - {None})
-        if rng is not None:
-            work.sort()
-            rng.shuffle(work)
-        while work:
-            a = work.pop()
-            color = system.color_of(a)
-            n = len(system.child_colors[color])
-            images = [mapping.get(child(a, i)) for i in range(n)]
-            if None in images:
-                continue
-            b = core.parent(images[0][0])
-            if b is None or any(core.parent(c) != b for c, _ in images):
-                continue
-            flag = _collapse_flag(system, color,
-                                  tuple((c[1][-1], r) for c, r in images))
-            if flag is None:
-                continue
-            for i in range(n):
-                del mapping[child(a, i)]
-            mapping[a] = (b, flag)
-            if a[1]:  # not a base edge
-                work.append(core.parent(a))
-        if len(mapping) == len(self.mapping):
-            return self
-        return GraphPairDiagram(system, mapping)
+    def reduce(self):
+        """The unique reduced form: self when no pair collapses."""
+        roots, collapsed = _forest(self)
+        return _diagram(self.system, roots) if collapsed else self
 
     # -- group operations ----------------------------------------------
 
     def compose(self, other):
         """self after other."""
-        if self.system is not other.system:
-            raise ValueError("diagrams over different systems")
-        mid = other.range.internal | self.domain.internal
-        left = _refined(other.invert(), mid)
-        right = _refined(self, mid)
-        mapping = {}
-        for b, (a, r1) in left.items():
-            c, r2 = right[b]
-            mapping[a] = (c, r1 != r2)
-        return GraphPairDiagram(self.system, mapping).reduce()
+        return _product(other, [self._factors[0]])
 
     def invert(self):
         mapping = {b: (a, r) for a, (b, r) in self.mapping.items()}
@@ -206,13 +171,12 @@ class GraphPairDiagram:
         """self^k as |k| left actions, the cost of the flattened word
         (callers stay within words.MAX_LETTERS: the CLI flattens ^k, and
         semidirect_split's k is a word's epsilon exponent)."""
-        return _product(self.system,
+        return _product(identity(self.system),
                         itertools.repeat(self._factors[k < 0], abs(k)))
 
     def conjugate(self, g):
         """self conjugated by g: g^-1 after self after g."""
-        return _product(self.system, [g._factors[0], self._factors[0],
-                                      g._factors[1]])
+        return _product(g, [self._factors[0], g._factors[1]])
 
     # -- serialization --------------------------------------------------
 
@@ -267,32 +231,6 @@ def _matching(system, color, rev):
     return sigma
 
 
-def _collapse_flag(system, color, got):
-    """The flag of the pair that children pairing up as got collapse
-    to, or None if they do not collapse."""
-    if got == _straight(len(system.child_colors[color])):
-        return False
-    if got == _reversal(system.rules[color]):
-        return True
-    return None
-
-
-def _child_pairs(system, a, b, rev):
-    """The pairs that replace the pair a -> b (reversed if rev)."""
-    sigma = _matching(system, system.color_of(a), rev)
-    return [(child(a, i), (child(b, j), r)) for i, (j, r) in enumerate(sigma)]
-
-
-def _refined(f, target):
-    """f's mapping expanded in place until the domain is the parent-closed
-    target (cells by depth, so each is a leaf when its turn comes)."""
-    mapping = dict(f.mapping)
-    for a in sorted(target - f.domain.internal, key=lambda a: len(a[1])):
-        b, rev = mapping.pop(a)
-        mapping.update(_child_pairs(f.system, a, b, rev))
-    return mapping
-
-
 def _internal_from_leaves(leaves):
     internal = set()
     for base, path in leaves:
@@ -305,13 +243,14 @@ def _internal_from_leaves(leaves):
 
 
 def identity(system):
-    return _product(system, [])
+    return GraphPairDiagram(system, {(eid, ()): ((eid, ()), False)
+                                     for eid, _, _, _ in system.base.edges})
 
 
 def commutator(g, h):
     """g after h after g^-1 after h^-1."""
-    return _product(g.system, [h._factors[1], g._factors[1],
-                               h._factors[0], g._factors[0]])
+    return _product(h.invert(), [g._factors[1], h._factors[0],
+                                 g._factors[0]])
 
 
 def evaluate_word(table, word):
@@ -323,7 +262,7 @@ def evaluate_word(table, word):
     proportional to the letter plus the cells of the product it refines.
     """
     system = next(iter(table.values())).system
-    return _product(system, (table[name]._factors[exp < 0]
+    return _product(identity(system), (table[name]._factors[exp < 0]
                              for name, exp in reversed(word)
                              for _ in range(abs(exp))))
 
@@ -341,10 +280,10 @@ def evaluate_word(table, word):
 # pair that moves it is reversed.
 
 
-def _product(system, factors):
-    """The factors' left actions on the identity: [f1, f2] gives f2 o f1."""
-    roots = [[None, False, (eid, ()), False, color]
-             for eid, color, _, _ in system.base.edges]
+def _product(start, factors):
+    """The factors' left actions on start: [f1, f2] gives f2 o f1 o start."""
+    system = start.system
+    roots, _ = _forest(start)
     for factor in factors:
         if factor.system is not system:
             raise ValueError("diagrams over different systems")
@@ -352,25 +291,74 @@ def _product(system, factors):
     return _diagram(system, roots)
 
 
+def _forest(g):
+    """The forest of g's reduced form, and whether any pair collapsed.
+
+    Each leaf is hung at its range address, walked down by child index;
+    the internal nodes are then joined deepest first, so a node's
+    children are final when its turn comes.  Loops, not recursion:
+    diagrams can be thousands of levels deep.
+    """
+    system = g.system
+    by_id, child_colors = system.base.by_id, system.child_colors
+    top = [dict.fromkeys(by_id), False, None, False, None]  # over the roots
+    levels = []  # levels[d]: (kids, slot) of each internal node at depth d
+    for a, ((eid, path), rev) in g.mapping.items():
+        node, i = top, eid
+        for d, j in enumerate(path):
+            kids = node[0]
+            if kids[i] is None:
+                color = (by_id[i][0] if node is top
+                         else child_colors[node[4]][i])
+                kids[i] = [[None] * len(child_colors[color]),
+                           False, None, False, color]
+                if d == len(levels):
+                    levels.append([])
+                levels[d].append((kids, i))
+            node, i = kids[i], j
+        color = by_id[i][0] if node is top else child_colors[node[4]][i]
+        node[0][i] = [None, False, a, rev, color]
+    collapsed = False
+    for level in reversed(levels):
+        for kids, i in level:
+            leaf = _joined(system, kids[i][0], kids[i][4])
+            if leaf is not None:
+                kids[i], collapsed = leaf, True
+    return [top[0][eid] for eid, _, _, _ in system.base.edges], collapsed
+
+
 class _Factor:
     """A reduced diagram g, numbered for the left action p -> g o p.
 
     The cells of each side are numbered breadth first, base edges first,
     so the children of the k-th internal cell take the next free numbers.
-    walk lists g's domain internals in that order; pairs holds (domain
-    number, range number, reversed) for g's leaf pairs; joins holds
-    (number, first child number, end, color) for g's range internals,
-    deepest first.
+    sides holds, for the domain and the range, the internals in that
+    order as (number, first child number, end, color) and the cell count;
+    pairs holds (domain number, range number, reversed) for g's leaf
+    pairs.  walk lists the domain internals' numbers; joins lists the
+    range internals deepest first; size counts the range cells.
     """
 
     def __init__(self, g):
         self.system = g.system
-        dom, walk = self._numbered(g.domain.internal)
-        rng, self.joins = self._numbered(g.range.internal)
-        self.walk = [k for k, _, _, _ in walk]
+        dom, dwalk = self._numbered(g.domain.internal)
+        rng, rwalk = self._numbered(g.range.internal)
+        self.sides = (dwalk, len(dom)), (rwalk, len(rng))
         self.pairs = [(dom[a], rng[b], r) for a, (b, r) in g.mapping.items()]
-        self.joins.reverse()
-        self.size = len(rng)
+        self._lists()
+
+    def inverse(self):
+        """The factor of g^-1: the same numberings, sides swapped."""
+        inv = copy.copy(self)
+        inv.sides = self.sides[::-1]
+        inv.pairs = [(j, k, r) for k, j, r in self.pairs]
+        inv._lists()
+        return inv
+
+    def _lists(self):
+        (dwalk, _), (rwalk, self.size) = self.sides
+        self.walk = [k for k, _, _, _ in dwalk]
+        self.joins = rwalk[::-1]
 
     def _numbered(self, internal):
         child_colors = self.system.child_colors
@@ -407,7 +395,9 @@ class _Factor:
             out[j] = node
         # 3. g's range internals are the only nodes that can collapse
         for j, first, end, color in self.joins:
-            out[j] = _joined(system, out[first:end], color)
+            kids = out[first:end]
+            out[j] = (_joined(system, kids, color)
+                      or [kids, False, None, False, color])
         return out[:len(roots)]
 
 
@@ -433,21 +423,24 @@ def _push(system, node):
 
 
 def _joined(system, kids, color):
-    """A fresh internal node over kids, or the leaf it collapses to when
-    the kids are leaves holding every child of one domain cell, paired
-    straight or by the reversal matching."""
-    node = [kids, False, None, False, color]
+    """The leaf that a color node over kids collapses to, or None: they
+    collapse when they are leaves holding every child of one domain
+    cell, paired straight or by the reversal matching."""
     a = core.parent(kids[0][2]) if kids[0][0] is None else None
     if a is None:
-        return node
+        return None
     got = [None] * len(kids)
     for j, (grand, lazy, d, flag, _) in enumerate(kids):
         # a differently colored cell can have more children than kids
         if grand is not None or core.parent(d) != a or d[1][-1] >= len(got):
-            return node
+            return None
         got[d[1][-1]] = (j, flag != lazy)
-    flag = _collapse_flag(system, color, tuple(got))
-    return node if flag is None else [None, False, a, flag, color]
+    got = tuple(got)
+    if got == _straight(len(got)):
+        return [None, False, a, False, color]
+    if got == _reversal(system.rules[color]):
+        return [None, False, a, True, color]
+    return None
 
 
 def _diagram(system, roots):

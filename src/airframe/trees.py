@@ -122,7 +122,7 @@ def _loop_at(host, p):
 def map_basilica_component(f, loop_addr):
     """Image component of a Basilica circle under a diagram."""
     rep = ("ct", ()) if loop_addr is None else loop_addr
-    return geometry.line_of(BASILICA, f.reduce().leaf_image(rep))
+    return geometry.line_of(BASILICA, f.leaf_image(rep))
 
 
 def basilica_tree_action(table, word, vertex):

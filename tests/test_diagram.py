@@ -7,6 +7,7 @@ from airframe import diagram
 from airframe.diagram import (GraphPairDiagram, commutator, evaluate_word,
                               identity, reversal_matching)
 from airframe.systems import airplane, airplane_generators
+import reference_diagram as reference
 
 
 NAMES = list("abgde")
@@ -70,7 +71,7 @@ def test_reduction_canonical_under_schedules(word, seed):
         a = rng.choice(sorted(g.mapping))
         g = g.expand_pair(a)
     r1 = g.reduce()
-    r2 = g.reduce(rng=random.Random(seed + 1))
+    r2 = reference.reduce(g, random.Random(seed + 1))
     assert r1.equals(f) and r2.equals(f)
     assert r1.mapping == r2.mapping
 
@@ -117,7 +118,19 @@ def test_power_is_repeated_compose(gens):
         for k in range(10):
             assert f.power(k).equals(p)
             assert f.power(-k).equals(p.invert())
-            p = p.compose(f)
+            p = reference.compose(p, f)
+
+
+def test_deep_diagrams_reduce_and_compose(gens):
+    # a^1500 is 1500 levels deep: reduction and products must not recurse
+    f = gens["a"].power(1500)
+    rng = random.Random(1500)
+    g = f
+    for a in rng.sample(sorted(f.mapping), 20):
+        g = g.expand_pair(a)
+    assert len(g.mapping) > len(f.mapping)
+    assert g.reduce().mapping == f.mapping
+    assert f.compose(gens["a"].power(-1500)).is_identity()
 
 
 def test_reversal_matching_runs_once_per_rule(monkeypatch, gens):

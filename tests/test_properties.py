@@ -2,21 +2,23 @@
 letters over the Airplane generators, word evaluation against the
 letter-by-letter product over all four generator tables, powers,
 conjugates and commutators against their compose chains, leaf images
-against pair expansion, the derivative D on unreduced diagrams and
-under compose, and the parser on arbitrary token strings."""
+against pair expansion, component images through unreduced diagrams,
+the derivative D on unreduced diagrams and under compose, and the
+parser on arbitrary token strings."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from airframe import analysis, geometry
+from airframe import analysis, components as comp, geometry, trees
 from airframe.core import child, parent
 from airframe.diagram import (GraphPairDiagram, commutator, evaluate_word,
                               identity)
 from airframe.systems import (airplane_generators, basilica_generators,
                               circle_generators, interval_generators)
 from airframe.words import WordSyntaxError, parse_word
+import reference_diagram as reference
 
 G = airplane_generators()
 # The reflection in the horizontal line pairs red cells reversed, and the
@@ -56,8 +58,9 @@ def test_reduce_is_canonical_under_random_schedules(w, seed):
     g = f
     for _ in range(rng.randint(1, 12)):
         g = g.expand_pair(rng.choice(sorted(g.mapping)))
-    r = g.reduce(rng)
+    r = reference.reduce(g, rng)
     assert r.mapping == f.mapping
+    assert g.reduce().mapping == r.mapping
     assert r.domain == f.domain and r.range == f.range
 
 
@@ -72,7 +75,7 @@ def test_evaluate_word_is_the_letter_by_letter_product(system, data):
     f = evaluate_word(table, w)
     product = identity(next(iter(table.values())).system)
     for name, exp in w:
-        product = product.compose(table[name].power(exp))
+        product = reference.compose(product, table[name].power(exp))
     assert f.to_json() == product.to_json()
     assert f.domain == product.domain and f.range == product.range
     assert f.reduce() is f
@@ -92,12 +95,13 @@ def test_products_are_their_compose_chains(system, data):
     k = data.draw(st.integers(-6, 6))
     product = identity(f.system)
     for _ in range(abs(k)):
-        product = product.compose(f if k > 0 else f.invert())
+        product = reference.compose(product, f if k > 0 else f.invert())
     assert f.power(k).to_json() == product.to_json()
+    compose = reference.compose
     assert (f.conjugate(g).to_json()
-            == g.invert().compose(f).compose(g).to_json())
-    assert (commutator(f, g).to_json() == f.compose(g).compose(
-        f.invert()).compose(g.invert()).to_json())
+            == compose(compose(g.invert(), f), g).to_json())
+    assert (commutator(f, g).to_json() == compose(compose(compose(
+        f, g), f.invert()), g.invert()).to_json())
 
 
 def expanded_leaf_image(f, a):
@@ -133,6 +137,33 @@ def test_leaf_image_is_the_image_after_expansion(system):
             kinds.add(a in f.domain.internal)
             assert f.leaf_image(a) == expanded_leaf_image(f, a)
     assert kinds == {True, False}
+
+
+COMPONENTS = comp.enumerate_components(8, 2)
+LOOPS = [trees.vertex_to_loop(trees.identify(v))
+         for v in trees.truncated_vertices(2, 8)]
+
+
+@pytest.mark.parametrize("system", ["airplane", "airplane+flip", "basilica"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_components_map_alike_through_expanded_diagrams(system, data):
+    # map_component and map_basilica_component take unreduced diagrams
+    table = TABLES[system]
+    f = evaluate_word(table, data.draw(st.lists(st.tuples(
+        st.sampled_from(sorted(table)), st.sampled_from([1, -1])),
+        max_size=12)))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 30)))
+    g = f
+    for _ in range(rng.randint(1, 30)):
+        g = g.expand_pair(rng.choice(sorted(g.mapping)))
+    if system == "basilica":
+        for loop in rng.sample(LOOPS, 10):
+            assert (trees.map_basilica_component(g, loop)
+                    == trees.map_basilica_component(f, loop))
+    else:
+        for c in rng.sample(COMPONENTS, 10):
+            assert comp.map_component(g, c) == comp.map_component(f, c)
 
 
 def holds_tip(system, a):
