@@ -263,8 +263,8 @@ def evaluate_word(table, word):
     """
     system = next(iter(table.values())).system
     return _product(identity(system), (table[name]._factors[exp < 0]
-                             for name, exp in reversed(word)
-                             for _ in range(abs(exp))))
+                                       for name, exp in reversed(word)
+                                       for _ in range(abs(exp))))
 
 
 # --- the left-action product -------------------------------------------------
