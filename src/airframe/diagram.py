@@ -321,9 +321,8 @@ def _forest(g):
     collapsed = False
     for level in reversed(levels):
         for kids, i in level:
-            leaf = _joined(system, kids[i][0], kids[i][4])
-            if leaf is not None:
-                kids[i], collapsed = leaf, True
+            kids[i] = _joined(system, kids[i][0], kids[i][4])
+            collapsed = collapsed or kids[i][0] is None
     return [top[0][eid] for eid, _, _, _ in system.base.edges], collapsed
 
 
@@ -395,9 +394,7 @@ class _Factor:
             out[j] = node
         # 3. g's range internals are the only nodes that can collapse
         for j, first, end, color in self.joins:
-            kids = out[first:end]
-            out[j] = (_joined(system, kids, color)
-                      or [kids, False, None, False, color])
+            out[j] = _joined(system, out[first:end], color)
         return out[:len(roots)]
 
 
@@ -423,24 +420,25 @@ def _push(system, node):
 
 
 def _joined(system, kids, color):
-    """The leaf that a color node over kids collapses to, or None: they
-    collapse when they are leaves holding every child of one domain
-    cell, paired straight or by the reversal matching."""
+    """A fresh internal node over kids, or the leaf it collapses to when
+    the kids are leaves holding every child of one domain cell, paired
+    straight or by the reversal matching."""
+    node = [kids, False, None, False, color]
     a = core.parent(kids[0][2]) if kids[0][0] is None else None
     if a is None:
-        return None
+        return node
     got = [None] * len(kids)
     for j, (grand, lazy, d, flag, _) in enumerate(kids):
         # a differently colored cell can have more children than kids
         if grand is not None or core.parent(d) != a or d[1][-1] >= len(got):
-            return None
+            return node
         got[d[1][-1]] = (j, flag != lazy)
     got = tuple(got)
     if got == _straight(len(got)):
         return [None, False, a, False, color]
     if got == _reversal(system.rules[color]):
         return [None, False, a, True, color]
-    return None
+    return node
 
 
 def _diagram(system, roots):
