@@ -8,13 +8,15 @@ result.  The digests in golden_corpus.json are regenerated by
 which is only right when an output is meant to change.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
-from airframe import analysis, circularize, components as comp, trees
+from airframe import analysis, circularize, cli, components as comp, trees
 from airframe.core import child, format_address, realize_graph
 from airframe.diagram import (GraphPairDiagram, commutator, evaluate_word,
                               identity)
@@ -267,6 +269,52 @@ def vertex_cases():
         }
 
 
+SWAPPED = [("a", "b"), ("b", "a"), ("g", "c"), ("d", "d")]
+
+
+def intertwine_cases():
+    """intertwine_check reports, canonical pairing and a and b swapped."""
+    for depth, bound in ((1, 4), (2, 8)):
+        for name, pairing in (("canonical", None), ("swapped", SWAPPED)):
+            yield ("intertwine %s %d %d" % (name, depth, bound),
+                   trees.intertwine_check(depth, bound, pairing))
+
+
+CLI_ARGVS = [
+    ["eval", "a e' [b, g]", "--json"],
+    ["eval", "b a^2", "--system", "basilica", "--json"],
+    ["eval", "x0 x1'", "--system", "interval", "--json"],
+    ["eval", "y0 y2^2", "--system", "circle", "--json"],
+    ["eval", "a g", "--dot"],
+    ["d", "e^-2 a [b, e]", "--json"],
+    ["commutator", "[d, e] a e", "--json"],
+    ["orbit", "(0,1/2)", "central", "--max-len", "2", "--json"],
+    ["orbit", "(1/4,3/4)", "(3/4,1/4)", "--max-len", "3", "--json"],
+    ["orbit", "(1/4,3/4);(1/8,1/2)", "central", "--max-len", "1", "--json"],
+    ["transitivity", "--depth-bound", "1", "--json"],
+    ["transitivity", "--k", "2", "--sample", "4", "--seed", "7",
+     "--depth-bound", "1", "--generators", "commutator", "--json"],
+    ["circularize", "a d", "--json"],
+    ["intertwine", "--json"],
+    ["intertwine", "--depth", "2", "--bound", "8", "--json"],
+    ["systems", "--json"],
+    ["systems", "basilica", "--json"],
+    ["check", "--json"],
+    ["eval", "a (", "--json"],
+    ["orbit", "(1/3,1/2)", "central", "--json"],
+]
+
+
+def cli_cases():
+    """(exit code, stdout) of cli.main for each of CLI_ARGVS."""
+    for argv in CLI_ARGVS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(list(argv))
+        yield "cli " + " ".join(argv), [code, out.getvalue()]
+
+
 def digests(cases):
     return {name: hashlib.sha256(json.dumps(value, sort_keys=True).encode())
             .hexdigest() for name, value in cases}
@@ -279,7 +327,8 @@ def all_digests():
     for cases in (word_cases(table), random_word_cases(table),
                   component_cases(table), vertex_cases(),
                   dot_cases(tables), validate_cases(tables), act_cases(),
-                  solver_cases(), product_cases(), compose_reduce_cases()):
+                  solver_cases(), product_cases(), compose_reduce_cases(),
+                  intertwine_cases(), cli_cases()):
         out.update(digests(cases))
     return out
 
