@@ -90,6 +90,8 @@ def cmd_commutator(args):
 
 
 def cmd_orbit(args):
+    if args.max_len < 0:
+        raise ValueError("--max-len must be at least 0")
     src = components.parse_path(args.src)
     tgt = components.parse_path(args.tgt)
     word = components.orbit_search(src, tgt, args.max_len,
@@ -201,6 +203,7 @@ def cmd_check(args):
     return 0 if ok else 2
 
 
+@functools.cache
 def build_parser():
     p = Parser(prog="airframe",
                description="Rearrangements of the Airplane limit space.")
@@ -270,7 +273,7 @@ def main(argv=None):
         return 1
     try:
         return args.fn(args)
-    except (WordSyntaxError, ValueError) as ex:
+    except (WordSyntaxError, UsageError, ValueError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 1
     except AssertionError as ex:

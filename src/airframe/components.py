@@ -99,9 +99,20 @@ def _ray_at(host, theta):
 
 def map_component(f, path):
     """The image component path of a component under a diagram."""
+    return image_path(f, red_cell(path))
+
+
+def red_cell(path):
+    """A red arc on the circle of a component: the cell whose image
+    under a diagram names the image component."""
     e = path_to_component(path)
-    b = f.leaf_image(("rT", ()) if e is None else child(e, 1))
-    return component_path(component_of_red(b))
+    return ("rT", ()) if e is None else child(e, 1)
+
+
+def image_path(f, red):
+    """The component path of the circle that f carries red arc `red`
+    onto."""
+    return component_path(component_of_red(f.leaf_image(red)))
 
 
 # --- coordinate actions of the generators ----------------------------------

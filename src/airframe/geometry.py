@@ -121,12 +121,15 @@ def attachment(system, line):
 def locate(system, cells, x):
     """The cell whose midpoint is x, found by descending from whichever
     of `cells` (cells of one line) holds x, along that line."""
+    p, q = x.numerator, x.denominator
     options = [(c,) + walk(system, c)[:4] for c in cells]
     while True:
         for cell, color, s, t, d in options:
-            if 2 * d * x == s + t:
+            # x = p/q against (s/d, t/d), in integers
+            dp = d * p
+            if 2 * dp == (s + t) * q:
                 return cell
-            if min(s, t) < d * x < max(s, t):
+            if min(s, t) * q < dp < max(s, t) * q:
                 break
         else:
             raise ValueError("%s is not on this line" % x)

@@ -67,7 +67,8 @@ def moves_to_vertex(moves):
 
 def airplane_tree_action(table, word, vertex):
     """Act on a FrakC vertex by a word over alpha..delta."""
-    return _airplane_image(_airplane_diagram(table, word), vertex)
+    return _airplane_image(_airplane_diagram(table, word),
+                           _airplane_cell(vertex))
 
 
 def _airplane_diagram(table, word):
@@ -76,8 +77,13 @@ def _airplane_diagram(table, word):
     return evaluate_word(table, word)
 
 
-def _airplane_image(f, vertex):
-    img = comp.map_component(f, vertex_to_path(vertex))
+def _airplane_cell(vertex):
+    return comp.red_cell(vertex_to_path(vertex))
+
+
+def _airplane_image(f, red):
+    """The FrakC vertex of the image of a vertex, given by its red cell."""
+    img = comp.image_path(f, red)
     out = frak_c_membership(img)
     if out is None:
         raise AssertionError("image left the midpoint-chain tree: %s"
@@ -121,16 +127,31 @@ def _loop_at(host, p):
 
 def map_basilica_component(f, loop_addr):
     """Image component of a Basilica circle under a diagram."""
-    rep = ("ct", ()) if loop_addr is None else loop_addr
-    return geometry.line_of(BASILICA, f.leaf_image(rep))
+    return image_loop(f, loop_cell(loop_addr))
+
+
+def loop_cell(loop_addr):
+    """A cell on a Basilica circle: the cell whose image under a
+    diagram names the image circle."""
+    return ("ct", ()) if loop_addr is None else loop_addr
+
+
+def image_loop(f, cell):
+    """The circle that f carries `cell` onto."""
+    return geometry.line_of(BASILICA, f.leaf_image(cell))
 
 
 def basilica_tree_action(table, word, vertex):
-    return _basilica_image(evaluate_word(table, word), vertex)
+    return _basilica_image(evaluate_word(table, word), _basilica_cell(vertex))
 
 
-def _basilica_image(f, vertex):
-    return basilica_vertex(map_basilica_component(f, vertex_to_loop(vertex)))
+def _basilica_cell(vertex):
+    return loop_cell(vertex_to_loop(vertex))
+
+
+def _basilica_image(f, cell):
+    """The vertex of the image of a vertex, given by its cell."""
+    return basilica_vertex(image_loop(f, cell))
 
 
 # --- the identification and the intertwine check -----------------------------
@@ -172,19 +193,27 @@ def truncated_vertices(depth, bound):
 def intertwine_check(depth, branch_denominator_bound, pairing=None):
     """Check on the truncated trees that each paired generator acts the
     same way on both sides of the identification.  Returns a report."""
+    if depth < 0:
+        raise ValueError("depth must be at least 0")
+    bound = branch_denominator_bound
+    if bound < 1:
+        raise ValueError("bound must be a power of two of at least 1")
+    if bound & (bound - 1):
+        raise ValueError("not dyadic: %s" % Fraction(1, bound))
     at, bt = airplane_generators(), basilica_generators()
     pairs = pairing if pairing is not None else CANONICAL_PAIRING
     diagrams = [(aname, bname, _airplane_diagram(at, [(aname, 1)]),
                  evaluate_word(bt, [(bname, 1)])) for aname, bname in pairs]
     mismatches = []
     checked = 0
-    for moves in truncated_vertices(depth, branch_denominator_bound):
-        v = moves_to_vertex(moves)
-        bv = identify(moves)
+    for moves in truncated_vertices(depth, bound):
+        # each vertex is located once on each side, not once per pair
+        red = _airplane_cell(moves_to_vertex(moves))
+        cell = _basilica_cell(identify(moves))
         for aname, bname, f, g in diagrams:
             checked += 1
-            left = identify(vertex_moves(_airplane_image(f, v)))
-            right = _basilica_image(g, bv)
+            left = identify(vertex_moves(_airplane_image(f, red)))
+            right = _basilica_image(g, cell)
             if left != right:
                 mismatches.append({
                     "vertex": [str(m) for m in moves],
@@ -192,6 +221,6 @@ def intertwine_check(depth, branch_denominator_bound, pairing=None):
                     "airplane_image": [str(m) for m in left],
                     "basilica_image": [str(m) for m in right],
                 })
-    return {"depth": depth, "bound": branch_denominator_bound,
+    return {"depth": depth, "bound": bound,
             "checked": checked, "mismatches": mismatches,
             "ok": not mismatches}

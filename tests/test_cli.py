@@ -86,6 +86,41 @@ def test_intertwine(capsys):
     assert json.loads(out)["ok"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["intertwine", "--bound", "0"], "bound must be a power of two"),
+    (["intertwine", "--bound", "-4"], "bound must be a power of two"),
+    (["intertwine", "--bound", "3"], "not dyadic: 1/3"),
+    (["intertwine", "--depth", "-1"], "depth must be at least 0"),
+    (["orbit", "central", "(0,1/2)", "--max-len", "-1"],
+     "--max-len must be at least 0"),
+])
+def test_vacuous_arguments_fail_cleanly(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 1 and not out
+    assert err.startswith("error: " + message)
+
+
+def test_unknown_suite_fails_cleanly(capsys):
+    code, out, err = run(capsys, "check", "--suite", "x")
+    assert code == 1 and not out
+    assert err == "error: unknown suite 'x'\n"
+
+
+def test_reused_parser_keeps_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run(capsys, "transitivity", "--k", "2", "--sample", "3",
+                       "--seed", "5", "--depth-bound", "1", "--json")
+    assert code == 0 and json.loads(out)["k"] == 2
+    code, out, _ = run(capsys, "transitivity", "--depth-bound", "1", "--json")
+    assert code == 0 and json.loads(out)["k"] == 1
+    code, out, _ = run(capsys, "eval", "b", "--system", "basilica", "--json")
+    assert json.loads(out)["system"] == "basilica"
+    code, out, _ = run(capsys, "eval", "b", "--json")
+    assert json.loads(out)["system"] == "airplane"
+    assert run(capsys, "eval", "--no-such-flag", "b")[0] == 1
+    assert run(capsys, "d", "b", "--json")[0] == 0
+
+
 def test_systems_listing(capsys):
     code, out, _ = run(capsys, "systems", "--json")
     assert code == 0

@@ -91,10 +91,44 @@ def test_intertwine_small():
     assert rep["ok"] and rep["checked"] == 4 * (1 + 4)
 
 
+SWAPPED = [("a", "b"), ("b", "a"), ("g", "c"), ("d", "d")]
+
+
 def test_intertwine_negative_control():
-    swapped = [("a", "b"), ("b", "a"), ("g", "c"), ("d", "d")]
-    rep = trees.intertwine_check(1, 4, pairing=swapped)
+    rep = trees.intertwine_check(1, 4, pairing=SWAPPED)
     assert not rep["ok"] and rep["mismatches"]
+
+
+@pytest.mark.parametrize("pairing", [None, SWAPPED])
+def test_intertwine_matches_per_check_tree_actions(gens, bgens, pairing):
+    # every (vertex, pair) recomputed through the public tree actions
+    checked, mismatches = 0, []
+    for moves in trees.truncated_vertices(2, 8):
+        for aname, bname in pairing or trees.CANONICAL_PAIRING:
+            checked += 1
+            left = trees.identify(trees.vertex_moves(trees.airplane_tree_action(
+                gens, [(aname, 1)], trees.moves_to_vertex(moves))))
+            right = trees.basilica_tree_action(bgens, [(bname, 1)],
+                                               trees.identify(moves))
+            if left != right:
+                mismatches.append({
+                    "vertex": [str(m) for m in moves],
+                    "pair": "%s~%s" % (aname, bname),
+                    "airplane_image": [str(m) for m in left],
+                    "basilica_image": [str(m) for m in right],
+                })
+    rep = trees.intertwine_check(2, 8, pairing=pairing)
+    assert rep["checked"] == checked == 65 * 4
+    assert rep["mismatches"] == mismatches
+    assert rep["ok"] == (pairing is None)
+
+
+def test_intertwine_rejects_vacuous_bounds():
+    for depth, bound in [(1, 0), (1, -4), (-1, 4), (0, 3), (1, 6)]:
+        with pytest.raises(ValueError):
+            trees.intertwine_check(depth, bound)
+    rep = trees.intertwine_check(1, 4, pairing=[])
+    assert rep["ok"] and rep["checked"] == 0
 
 
 def test_faithfulness_sampled(gens):
