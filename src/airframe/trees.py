@@ -68,17 +68,13 @@ def moves_to_vertex(moves):
 def airplane_tree_action(table, word, vertex):
     """Act on a FrakC vertex by a word over alpha..delta."""
     return _airplane_image(_airplane_diagram(table, word),
-                           _airplane_cell(vertex))
+                           comp.red_cell(vertex_to_path(vertex)))
 
 
 def _airplane_diagram(table, word):
     if any(name == "e" for name, _ in word):
         raise ValueError("epsilon does not preserve the component tree")
     return evaluate_word(table, word)
-
-
-def _airplane_cell(vertex):
-    return comp.red_cell(vertex_to_path(vertex))
 
 
 def _airplane_image(f, red):
@@ -142,11 +138,8 @@ def image_loop(f, cell):
 
 
 def basilica_tree_action(table, word, vertex):
-    return _basilica_image(evaluate_word(table, word), _basilica_cell(vertex))
-
-
-def _basilica_cell(vertex):
-    return loop_cell(vertex_to_loop(vertex))
+    return _basilica_image(evaluate_word(table, word),
+                           loop_cell(vertex_to_loop(vertex)))
 
 
 def _basilica_image(f, cell):
@@ -208,8 +201,8 @@ def intertwine_check(depth, branch_denominator_bound, pairing=None):
     checked = 0
     for moves in truncated_vertices(depth, bound):
         # each vertex is located once on each side, not once per pair
-        red = _airplane_cell(moves_to_vertex(moves))
-        cell = _basilica_cell(identify(moves))
+        red = comp.red_cell(vertex_to_path(moves_to_vertex(moves)))
+        cell = loop_cell(vertex_to_loop(identify(moves)))
         for aname, bname, f, g in diagrams:
             checked += 1
             left = identify(vertex_moves(_airplane_image(f, red)))
