@@ -9,13 +9,12 @@ import json
 import random
 import sys
 
-from . import analysis, circularize, components, trees
+from . import analysis, circularize, components, trees, words
 from .diagram import evaluate_word
 from .systems import (airplane_generators, basilica_generators,
                       circle_generators, interval_generators,
                       SYSTEM_BUILDERS)
-from .words import (LONG_NAMES, WordSyntaxError, flatten, parse_word,
-                    tokenize)
+from .words import LONG_NAMES, WordSyntaxError, flatten
 
 
 class UsageError(Exception):
@@ -40,8 +39,9 @@ def _tables():
 
 def _word_diagram(src, system="airplane"):
     table = _tables()[system]
-    expr = parse_word(src)
-    for tok, pos in tokenize(src):
+    parser = words.Parser(src)
+    expr = parser.parse()
+    for tok, pos in parser.toks:  # the parser's tokens, not a second scan
         name = LONG_NAMES.get(tok, tok)
         if tok[0].isalpha() and name not in table:
             raise WordSyntaxError("unknown generator %r for system %s"
@@ -62,9 +62,9 @@ def cmd_eval(args):
         from .core import realize_graph
         print(realize_graph(f.domain).to_dot())
         return 0
-    pairs = sorted("%s -> %s" % (a, b)
-                   for a, b in f.to_json()["map"].items())
-    _emit(args, f.to_json(),
+    data = f.to_json()
+    pairs = sorted("%s -> %s" % (a, b) for a, b in data["map"].items())
+    _emit(args, data,
           "reduced diagram, %d leaf pairs:\n  %s"
           % (len(f.mapping), "\n  ".join(pairs)))
     return 0

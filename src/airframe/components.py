@@ -13,7 +13,7 @@ import functools
 import heapq
 from fractions import Fraction
 
-from .core import child, parent
+from .core import child
 from . import analysis, geometry
 from .geometry import AIRPLANE, HALF
 from .systems import airplane_generators
@@ -59,22 +59,20 @@ def validate_path(path):
 # Positions come from airframe.geometry: a blue edge spans (source,
 # target) of its ray, a boundary arc (start, width) of its circle.
 
-def component_of_red(red_addr):
-    """The creating blue edge of the circle this arc bounds (None =
-    central)."""
-    line = geometry.line_of(AIRPLANE, red_addr)
-    return None if line is None else parent(line)
-
-
 def component_path(creating_blue):
     """Creating blue edge (or None) -> component path."""
     if creating_blue is None:
         return ()
-    circle, theta = geometry.attachment(
-        AIRPLANE, geometry.line_of(AIRPLANE, creating_blue))
-    host = None if circle is None else parent(circle)
-    s, t = geometry.span(AIRPLANE, creating_blue)
-    return component_path(host) + ((theta, (s + t) / 2),)
+    return _read_path(geometry.hang_points(AIRPLANE, creating_blue))
+
+
+def _read_path(points):
+    """The component path of a circle, from the hang points of the blue
+    edge that creates it.  Out from the edge they alternate: the edge's
+    position on its ray, the angle where that ray hangs on a circle, the
+    position where that circle hangs on the next ray, and so on."""
+    points = points[::-1]
+    return tuple(zip(points[::2], points[1::2]))
 
 
 def path_to_component(path):
@@ -111,8 +109,9 @@ def red_cell(path):
 
 def image_path(f, red):
     """The component path of the circle that f carries red arc `red`
-    onto."""
-    return component_path(component_of_red(f.leaf_image(red)))
+    onto.  That circle hangs where its creating edge sits, so past the
+    image arc's own midpoint its hang points are the edge's."""
+    return _read_path(geometry.hang_points(AIRPLANE, f.leaf_image(red))[1:])
 
 
 # --- coordinate actions of the generators ----------------------------------

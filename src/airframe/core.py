@@ -22,6 +22,39 @@ def format_address(addr):
     return base + "." + "-".join(map(str, path))
 
 
+def speller():
+    """format_address with a memo: a cell's string is its parent's string
+    plus one child index, so spelling the leaves of a tree spells each of
+    its cells once, however many addresses pass through it.  Loops, not
+    recursion: trees can be thousands of levels deep."""
+    memo = {}
+
+    def spell(addr):
+        s = memo.get(addr)
+        if s is not None:
+            return s
+        base, path = addr
+        n = k = len(path)
+        if n:
+            k -= 1
+            s = memo.get((base, path[:k]))
+            if s is not None:  # the usual case: the parent is spelled
+                s = memo[addr] = s + ("-" if n > 1 else ".") + str(path[-1])
+                return s
+        while k:  # up to the deepest spelled ancestor
+            k -= 1
+            s = memo.get((base, path[:k]))
+            if s is not None:
+                break
+        if s is None:
+            s = memo[base, ()] = base
+        for k in range(k, n):
+            s += ("-" if k else ".") + str(path[k])
+            memo[base, path[:k + 1]] = s
+        return s
+    return spell
+
+
 def parent(addr):
     base, path = addr
     if not path:
@@ -236,12 +269,13 @@ def common_refinement(e1, e2):
 def realize_graph(expansion):
     """The realized graph of an expansion: a base vertex keeps its name,
     the fresh vertex v of the rule that expanded cell a is named "a:v"."""
-    names = {}  # each vertex spelled once, not once per edge end
+    spell = speller()  # a leaf's ancestors, the cells that name vertices
+    names = {}  # each vertex named once, not once per edge end
 
     def name(tok):
         if tok not in names:
             names[tok] = tok[1] if tok[0] == "v" \
-                else format_address(tok[1]) + ":" + tok[2]
+                else spell(tok[1]) + ":" + tok[2]
         return names[tok]
-    return Graph((format_address(a), color, name(src), name(tgt))
+    return Graph((spell(a), color, name(src), name(tgt))
                  for a, (color, src, tgt) in expansion.realized().items())

@@ -15,7 +15,7 @@ import itertools
 import json
 
 from . import core
-from .core import Expansion, child, format_address, parse_address
+from .core import Expansion, child, parse_address
 
 
 def reversal_matching(rule):
@@ -181,13 +181,16 @@ class GraphPairDiagram:
     # -- serialization --------------------------------------------------
 
     def to_json(self):
-        mp = {format_address(a): ("~" if r else "") + format_address(b)
-              for a, (b, r) in self.mapping.items()}
+        """Leaves and pairs in sorted order; each leaf is spelled once, and
+        the two sides share one speller, as they share their top cells."""
+        spell = core.speller()
+        pairs = sorted([(spell(a), spell(b), r)
+                        for a, (b, r) in self.mapping.items()])
         return {
             "system": self.system.name,
-            "domain": sorted(mp),
-            "range": sorted(format_address(b) for b, _ in self.mapping.values()),
-            "map": dict(sorted(mp.items())),
+            "domain": [a for a, _, _ in pairs],
+            "range": sorted([b for _, b, _ in pairs]),
+            "map": {a: "~" + b if r else b for a, b, r in pairs},
         }
 
     @classmethod

@@ -12,7 +12,7 @@ a new line: a fresh ray, the arcs of a fresh circle, a Basilica loop.
 import functools
 from fractions import Fraction
 
-from .core import child, parent
+from .core import child
 from .systems import airplane, basilica
 
 HALF = Fraction(1, 2)
@@ -60,19 +60,27 @@ def _step(graph, s, t, d, i):
     return (color,) + _fresh_spans(tuple(graph.edges), low)[i] + (True,)
 
 
-def walk(system, addr):
-    """(color, s, t, d, start) of a cell: its color, its (source, target)
-    position (s/d, t/d), and the length of the path prefix that starts
-    its line."""
+def trail(system, addr):
+    """walk's (color, s, t, d, start) for every prefix of a cell's path,
+    the base cell first, from one walk down the path."""
     base, path = addr
     color = system.base.by_id[base][0]
     s, t, d = CENTRAL.get(base, LINE)
     start = 0
+    out = [(color, s, t, d, start)]
     for k, i in enumerate(path, 1):
         color, s, t, d, fresh = _step(system.rules[color].graph, s, t, d, i)
         if fresh:
             start = k
-    return color, s, t, d, start
+        out.append((color, s, t, d, start))
+    return out
+
+
+def walk(system, addr):
+    """(color, s, t, d, start) of a cell: its color, its (source, target)
+    position (s/d, t/d), and the length of the path prefix that starts
+    its line."""
+    return trail(system, addr)[-1]
 
 
 def leaf_positions(expansion):
@@ -97,25 +105,29 @@ def span(system, addr):
     return Fraction(s, d), Fraction(t, d)
 
 
-def _line(addr, start):
+def line_of(system, addr):
+    """The cell that starts the line this cell lies on; None for the
+    central circle."""
+    start = walk(system, addr)[4]
     base, path = addr
     return None if start == 0 and base in CENTRAL else (base, path[:start])
 
 
-def line_of(system, addr):
-    """The cell that starts the line this cell lies on; None for the
-    central circle."""
-    return _line(addr, walk(system, addr)[4])
-
-
-def attachment(system, line):
-    """Where the line started by this cell hangs: (the line it hangs
-    from, None for the central circle; the position on that line)."""
-    p = parent(line)
-    if p is None:
-        return None, ATTACHED[line[0]]
-    _, s, t, d, start = walk(system, p)
-    return _line(p, start), Fraction(s + t, 2 * d)
+def hang_points(system, addr):
+    """The cell's midpoint on its line, then the point where that line
+    hangs on the line it hangs from, and so on out to the central circle.
+    Every line on the way is started by a prefix of the cell's path, so
+    one walk gives every point."""
+    base, _ = addr
+    steps = trail(system, addr)
+    _, s, t, d, k = steps[-1]
+    out = [Fraction(s + t, 2 * d)]
+    while k:  # the line started by the prefix of length k
+        _, s, t, d, k = steps[k - 1]
+        out.append(Fraction(s + t, 2 * d))
+    if base not in CENTRAL:  # a base line hangs on the central circle
+        out.append(ATTACHED[base])
+    return out
 
 
 def locate(system, cells, x):

@@ -94,11 +94,12 @@ def _airplane_image(f, red):
 # the vertex P at 0; a loop's own circle has the contact point at 0.
 
 def basilica_vertex(loop_addr):
-    """Component -> chain of attachment angles from the center."""
+    """Component -> chain of attachment angles from the center: the hang
+    points of its loop cell, or of any cell on its circle, past the
+    cell's own midpoint."""
     if loop_addr is None:
         return ()
-    carrier, angle = geometry.attachment(BASILICA, loop_addr)
-    return basilica_vertex(carrier) + (angle,)
+    return tuple(reversed(geometry.hang_points(BASILICA, loop_addr)[1:]))
 
 
 def vertex_to_loop(vertex):
@@ -144,7 +145,7 @@ def basilica_tree_action(table, word, vertex):
 
 def _basilica_image(f, cell):
     """The vertex of the image of a vertex, given by its cell."""
-    return basilica_vertex(image_loop(f, cell))
+    return basilica_vertex(f.leaf_image(cell))
 
 
 # --- the identification and the intertwine check -----------------------------

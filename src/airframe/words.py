@@ -28,23 +28,19 @@ MAX_NESTING = 100  # the deepest word that the recursive parse and
 LONG_NAMES = {"alpha": "a", "beta": "b", "gamma": "g",
               "delta": "d", "epsilon": "e"}
 
-_TOKEN = re.compile(r"\s*([a-z][a-z0-9]*|-?\d+|[()\[\],'^])")
+# a token, or the first character that starts none; \s is str.isspace
+_SCAN = re.compile(r"\s*(?:([a-z][a-z0-9]*|-?\d+|[()\[\],'^])|(\S))")
+_NUMBER = re.compile(r"-?\d+")
 
 
 def tokenize(src):
     out = []
-    i = 0
-    while i < len(src):
-        while i < len(src) and src[i].isspace():
-            i += 1
-        if i == len(src):
-            break
-        m = _TOKEN.match(src, i)
-        if not m:
-            raise WordSyntaxError("unexpected character %r" % src[i],
-                                  i)
-        out.append((m.group(1), m.start(1)))
-        i = m.end()
+    for m in _SCAN.finditer(src):
+        tok = m[1]
+        if tok is None:
+            raise WordSyntaxError("unexpected character %r" % m[2],
+                                  m.start(2))
+        out.append((tok, m.start(1)))
     return out
 
 
@@ -101,7 +97,7 @@ class Parser:
                 expr = ("inv", expr)
             else:
                 nxt = self.peek()
-                if nxt is not None and re.fullmatch(r"-?\d+", nxt):
+                if nxt is not None and _NUMBER.fullmatch(nxt):
                     k, _ = self.take()
                     expr = ("pow", expr, int(k))
                     n = _bounded(n * abs(int(k)), pos)
@@ -129,7 +125,7 @@ class Parser:
             self.open -= 1
             return x, n, h
         tok, pos = self.take()
-        if re.fullmatch(r"-?\d+", tok):
+        if _NUMBER.fullmatch(tok):
             raise WordSyntaxError("number %r is not a generator" % tok, pos)
         return ("atom", LONG_NAMES.get(tok, tok)), 1, 1
 

@@ -142,6 +142,15 @@ def test_unknown_generator_exit_code(capsys):
     assert "at offset 2" in err
 
 
+def test_unknown_generator_error_line(capsys):
+    # found on the parser's tokens, after the whole word has parsed
+    assert run(capsys, "eval", "h a") == (
+        1, "", "error: unknown generator 'h' for system airplane"
+               " (at offset 0)\n")
+    assert run(capsys, "eval", "h (")[2] == \
+        "error: unexpected end of word (at offset 3)\n"
+
+
 def test_eval_json_bytes_do_not_depend_on_hash_seed():
     src = os.path.dirname(os.path.dirname(airframe.__file__))
     outs = []
