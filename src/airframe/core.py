@@ -269,7 +269,7 @@ def common_refinement(e1, e2):
 def realize_graph(expansion):
     """The realized graph of an expansion: a base vertex keeps its name,
     the fresh vertex v of the rule that expanded cell a is named "a:v"."""
-    spell = speller()  # a leaf's ancestors, the cells that name vertices
+    spell = speller()  # spelling a leaf spells the cells that name its ends
     names = {}  # each vertex named once, not once per edge end
 
     def name(tok):

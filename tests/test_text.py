@@ -45,11 +45,12 @@ def test_text_of_a_spine_a_thousand_levels_deep(word, seed):
     # and the reference spells each address from the root, so one side's
     # graph is checked
     f = evaluate_word(G, word)
+    system = f.system
     rng = random.Random(seed)
     a = rng.choice(sorted(f.mapping))
     for _ in range(1000 + rng.randrange(50)):
         f = f.expand_pair(a)
-        arity = len(G["a"].system.child_colors[G["a"].system.color_of(a)])
+        arity = len(system.child_colors[system.color_of(a)])
         a = (a[0], a[1] + (rng.randrange(arity),))
     assert max(len(path) for _, path in f.mapping) >= 1000
     assert_same_text(f, sides=["domain"])
