@@ -13,7 +13,7 @@ import functools
 import heapq
 from fractions import Fraction
 
-from .core import child
+from .core import parent
 from . import analysis, geometry
 from .geometry import AIRPLANE, HALF
 from .systems import airplane_generators
@@ -77,22 +77,7 @@ def _read_path(points):
 
 def path_to_component(path):
     """Component path -> creating blue edge (or None)."""
-    path = validate_path(path)
-    if not path:
-        return None
-    host = path_to_component(path[:-1])
-    theta, l = path[-1]
-    return geometry.locate(AIRPLANE, [_ray_at(host, theta)], l)
-
-
-def _ray_at(host, theta):
-    if host is None and theta in (0, HALF):
-        return ("bR", ()) if theta == 0 else ("bL", ())
-    if theta in (0, HALF):
-        raise ValueError("angle %s is a through-direction" % theta)
-    arcs = [("rT", ()), ("rB", ())] if host is None \
-        else [child(host, 1), child(host, 2)]
-    return child(geometry.locate(AIRPLANE, arcs, theta), 2)
+    return parent(red_cell(path))
 
 
 def map_component(f, path):
@@ -102,9 +87,10 @@ def map_component(f, path):
 
 def red_cell(path):
     """A red arc on the circle of a component: the cell whose image
-    under a diagram names the image component."""
-    e = path_to_component(path)
-    return ("rT", ()) if e is None else child(e, 1)
+    under a diagram names the image component.  The circle's hang points
+    are the path's coordinates, angle and position in turn."""
+    return geometry.cell_at(AIRPLANE, [x for step in validate_path(path)
+                                       for x in step])
 
 
 def image_path(f, red):

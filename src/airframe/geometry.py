@@ -13,7 +13,7 @@ import functools
 from fractions import Fraction
 
 from .core import child
-from .systems import airplane, basilica
+from .systems import airplane, basilica, is_dyadic
 
 HALF = Fraction(1, 2)
 ENDS = ("i", "t")
@@ -130,22 +130,40 @@ def hang_points(system, addr):
     return out
 
 
-def locate(system, cells, x):
-    """The cell whose midpoint is x, found by descending from whichever
-    of `cells` (cells of one line) holds x, along that line."""
+def cell_at(system, points):
+    """The inverse of hang_points: the first cell of the line that a
+    chain of points reaches, read outward from the central circle.  The
+    first point may be where a base line hangs (ATTACHED); every other
+    point is the midpoint of a cell of the current line, and the cell's
+    children that start a new line are the next line.  With no points:
+    the first arc of the central circle."""
+    edges = system.base.edges
+    line = [((eid, ()), color) + CENTRAL[eid]
+            for eid, color, _, _ in edges if eid in CENTRAL]
+    for k, x in enumerate(points):
+        if not is_dyadic(x):
+            raise ValueError("not dyadic: %s" % x)
+        hung = [((eid, ()), color) + LINE for eid, color, _, _ in edges
+                if not k and ATTACHED.get(eid) == x]
+        line = hung or _next_line(system, line, x)
+    return line[0][0]
+
+
+def _next_line(system, line, x):
+    """The line started by the cell whose midpoint is x, found by
+    descending from the cell of `line` that holds x, along the line."""
     p, q = x.numerator, x.denominator
-    options = [(c,) + walk(system, c)[:4] for c in cells]
     while True:
-        for cell, color, s, t, d in options:
-            # x = p/q against (s/d, t/d), in integers
-            dp = d * p
-            if 2 * dp == (s + t) * q:
-                return cell
-            if min(s, t) * q < dp < max(s, t) * q:
-                break
-        else:
+        # x = p/q against (s/d, t/d), in integers
+        held = [c for c in line if min(c[2], c[3]) * q < c[4] * p
+                < max(c[2], c[3]) * q]
+        if not held:
             raise ValueError("%s is not on this line" % x)
+        cell, color, s, t, d = held[0]
+        mid = 2 * d * p == (s + t) * q
         graph = system.rules[color].graph
         steps = (_step(graph, s, t, d, i) for i in range(len(graph.edges)))
-        options = [(child(cell, i),) + step[:4]
-                   for i, step in enumerate(steps) if not step[4]]
+        line = [(child(cell, i),) + step[:4]
+                for i, step in enumerate(steps) if step[4] == mid]
+        if mid:
+            return line

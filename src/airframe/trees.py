@@ -16,11 +16,10 @@ like the four Basilica generators under that identification.
 
 from fractions import Fraction
 
-from .core import child
 from . import components as comp, geometry
 from .diagram import evaluate_word
 from .geometry import BASILICA, HALF
-from .systems import airplane_generators, basilica_generators, is_dyadic
+from .systems import airplane_generators, basilica_generators
 
 INC = "inc"  # step outward to the next midpoint circle on this ray
 
@@ -97,55 +96,25 @@ def basilica_vertex(loop_addr):
     """Component -> chain of attachment angles from the center: the hang
     points of its loop cell, or of any cell on its circle, past the
     cell's own midpoint."""
-    if loop_addr is None:
-        return ()
-    return tuple(reversed(geometry.hang_points(BASILICA, loop_addr)[1:]))
+    return () if loop_addr is None else \
+        tuple(geometry.hang_points(BASILICA, loop_addr)[:0:-1])
 
 
 def vertex_to_loop(vertex):
     """Chain of attachment angles -> loop address (None = central)."""
-    host = None
-    for p in vertex:
-        host = _loop_at(host, p)
-    return host
-
-
-def _loop_at(host, p):
-    if not is_dyadic(p) or not 0 <= p < 1:
-        raise ValueError("bad attachment angle %s" % p)
-    if host is None and p in (0, HALF):
-        return ("lp", ()) if p == 0 else ("lq", ())
-    if host is not None and p == 0:
-        raise ValueError("angle 0 is the contact point")
-    # a loop's own cell spans its whole circle
-    arcs = [("ct", ()), ("cb", ())] if host is None else [host]
-    return child(geometry.locate(BASILICA, arcs, p), 1)
+    return geometry.cell_at(BASILICA, vertex) if vertex else None
 
 
 def map_basilica_component(f, loop_addr):
-    """Image component of a Basilica circle under a diagram."""
-    return image_loop(f, loop_cell(loop_addr))
-
-
-def loop_cell(loop_addr):
-    """A cell on a Basilica circle: the cell whose image under a
-    diagram names the image circle."""
-    return ("ct", ()) if loop_addr is None else loop_addr
-
-
-def image_loop(f, cell):
-    """The circle that f carries `cell` onto."""
+    """Image component of a Basilica circle under a diagram: the circle
+    that f carries a cell of the circle onto."""
+    cell = geometry.cell_at(BASILICA, ()) if loop_addr is None else loop_addr
     return geometry.line_of(BASILICA, f.leaf_image(cell))
 
 
 def basilica_tree_action(table, word, vertex):
-    return _basilica_image(evaluate_word(table, word),
-                           loop_cell(vertex_to_loop(vertex)))
-
-
-def _basilica_image(f, cell):
-    """The vertex of the image of a vertex, given by its cell."""
-    return basilica_vertex(f.leaf_image(cell))
+    f = evaluate_word(table, word)
+    return basilica_vertex(f.leaf_image(geometry.cell_at(BASILICA, vertex)))
 
 
 # --- the identification and the intertwine check -----------------------------
@@ -203,11 +172,11 @@ def intertwine_check(depth, branch_denominator_bound, pairing=None):
     for moves in truncated_vertices(depth, bound):
         # each vertex is located once on each side, not once per pair
         red = comp.red_cell(vertex_to_path(moves_to_vertex(moves)))
-        cell = loop_cell(vertex_to_loop(identify(moves)))
+        cell = geometry.cell_at(BASILICA, identify(moves))
         for aname, bname, f, g in diagrams:
             checked += 1
             left = identify(vertex_moves(_airplane_image(f, red)))
-            right = _basilica_image(g, cell)
+            right = basilica_vertex(g.leaf_image(cell))
             if left != right:
                 mismatches.append({
                     "vertex": [str(m) for m in moves],
