@@ -17,6 +17,11 @@ from .systems import (airplane_generators, basilica_generators,
 from .words import LONG_NAMES, WordSyntaxError, flatten
 
 
+MAX_SEARCH = 100_000  # the most components or tree vertices that one
+                      # transitivity or intertwine run may build
+MAX_ORBIT_LEN = 8  # orbit's search grows about threefold per letter
+
+
 class UsageError(Exception):
     pass
 
@@ -92,6 +97,8 @@ def cmd_commutator(args):
 def cmd_orbit(args):
     if args.max_len < 0:
         raise ValueError("--max-len must be at least 0")
+    if args.max_len > MAX_ORBIT_LEN:
+        raise ValueError("--max-len must be at most %d" % MAX_ORBIT_LEN)
     src = components.parse_path(args.src)
     tgt = components.parse_path(args.tgt)
     word = components.orbit_search(src, tgt, args.max_len,
@@ -109,6 +116,10 @@ def cmd_orbit(args):
 def cmd_transitivity(args):
     if args.depth_bound < 0:
         raise ValueError("--depth-bound must be at least 0")
+    # the count grows with the bound, so 64 stands for any larger bound
+    if _component_count(min(args.depth_bound, 64)) > MAX_SEARCH:
+        raise ValueError("--depth-bound %d enumerates more than %d "
+                         "components" % (args.depth_bound, MAX_SEARCH))
     rng = random.Random(args.seed)
     rep = components.check_k_transitivity(
         args.k, gen_set=args.generators, max_den=2 ** args.depth_bound,
@@ -120,6 +131,14 @@ def cmd_transitivity(args):
     return 0 if rep["ok"] else 2
 
 
+def _component_count(depth_bound):
+    """len(components.enumerate_components(2 ** depth_bound, 2)) in
+    closed form: the center, n(n-1) paths of depth 1 and n(n-1)^2(n-2)
+    of depth 2, for n = 2 ** depth_bound."""
+    n = 2 ** depth_bound
+    return 1 + n * (n - 1) + n * (n - 1) ** 2 * (n - 2)
+
+
 def cmd_circularize(args):
     f = _word_diagram(args.word)
     g = circularize.phi_diagram(f)
@@ -127,7 +146,22 @@ def cmd_circularize(args):
     return 0
 
 
+def _vertex_count(depth, bound):
+    """len(trees.truncated_vertices(depth, bound)) in closed form:
+    `bound` first moves, then m = max(bound - 1, 1) at each later step
+    (INC and the turns other than 0 and 1/2)."""
+    m = max(bound - 1, 1)
+    return 1 + bound * (depth if m == 1 else (m ** depth - 1) // (m - 1))
+
+
 def cmd_intertwine(args):
+    # at least 1 + bound * depth vertices: a test that needs no power;
+    # negative depths and bounds are left to intertwine_check to reject
+    depth = max(args.depth, 0)
+    if args.bound > MAX_SEARCH or args.bound * depth >= MAX_SEARCH \
+            or _vertex_count(depth, args.bound) > MAX_SEARCH:
+        raise ValueError("--depth %d --bound %d builds more than %d tree "
+                         "vertices" % (args.depth, args.bound, MAX_SEARCH))
     rep = trees.intertwine_check(args.depth, args.bound)
     _emit(args, rep, "depth %d, bound %d: %d checks, %d mismatches"
           % (rep["depth"], rep["bound"], rep["checked"],

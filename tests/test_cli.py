@@ -93,11 +93,36 @@ def test_intertwine(capsys):
     (["intertwine", "--depth", "-1"], "depth must be at least 0"),
     (["orbit", "central", "(0,1/2)", "--max-len", "-1"],
      "--max-len must be at least 0"),
+    # searches too large to build, rejected before they are built
+    (["transitivity", "--depth-bound", "40"],
+     "--depth-bound 40 enumerates more than 100000 components"),
+    (["intertwine", "--bound", str(2 ** 40)],
+     "--depth 1 --bound 1099511627776 builds more than 100000"),
+    (["intertwine", "--depth", "50"],
+     "--depth 50 --bound 4 builds more than 100000 tree vertices"),
+    (["orbit", "central", "(0,1/2)", "--max-len", "9"],
+     "--max-len must be at most 8"),
 ])
 def test_vacuous_arguments_fail_cleanly(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--json")
     assert code == 1 and not out
     assert err.startswith("error: " + message)
+
+
+def test_search_counts_match_what_is_built():
+    from airframe import components, trees
+    for depth_bound in range(4):
+        assert cli._component_count(depth_bound) == \
+            len(components.enumerate_components(2 ** depth_bound, 2))
+    for depth in range(4):
+        for bound in (1, 2, 4, 8):
+            assert cli._vertex_count(depth, bound) == \
+                len(trees.truncated_vertices(depth, bound))
+    # transitivity admits denominators up to 16, intertwine depth 3 at
+    # bound 16
+    assert cli._component_count(4) <= cli.MAX_SEARCH \
+        < cli._component_count(5)
+    assert cli._vertex_count(3, 16) <= cli.MAX_SEARCH
 
 
 def test_unknown_suite_fails_cleanly(capsys):
