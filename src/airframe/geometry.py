@@ -132,21 +132,26 @@ def hang_points(system, addr):
 
 def cell_at(system, points):
     """The inverse of hang_points: the first cell of the line that a
-    chain of points reaches, read outward from the central circle.  The
-    first point may be where a base line hangs (ATTACHED); every other
-    point is the midpoint of a cell of the current line, and the cell's
-    children that start a new line are the next line.  With no points:
-    the first arc of the central circle."""
-    edges = system.base.edges
-    line = [((eid, ()), color) + CENTRAL[eid]
-            for eid, color, _, _ in edges if eid in CENTRAL]
+    chain of points reaches, out from the central circle.  The first
+    point may be where a base line hangs (ATTACHED); any other is the
+    midpoint of a cell of the current line, whose children that start a
+    new line are the next.  No points: the first central arc."""
+    line, hung = _base_lines(system)
     for k, x in enumerate(points):
         if not is_dyadic(x):
             raise ValueError("not dyadic: %s" % x)
-        hung = [((eid, ()), color) + LINE for eid, color, _, _ in edges
-                if not k and ATTACHED.get(eid) == x]
-        line = hung or _next_line(system, line, x)
+        line = (not k and hung.get(x)) or _next_line(system, line, x)
     return line[0][0]
+
+
+@functools.cache
+def _base_lines(system):
+    """The central arcs, and {point: the base line hanging there}."""
+    edges = system.base.edges
+    return ([((eid, ()), color) + CENTRAL[eid]
+             for eid, color, _, _ in edges if eid in CENTRAL],
+            {ATTACHED[eid]: [((eid, ()), color) + LINE]
+             for eid, color, _, _ in edges if eid in ATTACHED})
 
 
 def _next_line(system, line, x):
@@ -154,12 +159,12 @@ def _next_line(system, line, x):
     descending from the cell of `line` that holds x, along the line."""
     p, q = x.numerator, x.denominator
     while True:
-        # x = p/q against (s/d, t/d), in integers
-        held = [c for c in line if min(c[2], c[3]) * q < c[4] * p
-                < max(c[2], c[3]) * q]
-        if not held:
+        for cell, color, s, t, d in line:
+            # x = p/q against (s/d, t/d), in integers
+            if min(s, t) * q < d * p < max(s, t) * q:
+                break
+        else:
             raise ValueError("%s is not on this line" % x)
-        cell, color, s, t, d = held[0]
         mid = 2 * d * p == (s + t) * q
         graph = system.rules[color].graph
         steps = (_step(graph, s, t, d, i) for i in range(len(graph.edges)))

@@ -106,8 +106,7 @@ def vertex_to_loop(vertex):
 
 
 def map_basilica_component(f, loop_addr):
-    """Image component of a Basilica circle under a diagram: the circle
-    that f carries a cell of the circle onto."""
+    """Image component of a Basilica circle under a diagram."""
     cell = geometry.cell_at(BASILICA, ()) if loop_addr is None else loop_addr
     return geometry.line_of(BASILICA, f.leaf_image(cell))
 
