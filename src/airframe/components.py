@@ -61,8 +61,9 @@ def validate_path(path):
 
 def component_path(creating_blue):
     """Creating blue edge (or None) -> component path."""
-    return () if creating_blue is None else \
-        _read_path(geometry.hang_points(AIRPLANE, creating_blue))
+    if creating_blue is None:
+        return ()
+    return _read_path(geometry.hang_points(AIRPLANE, creating_blue))
 
 
 def _read_path(points):
@@ -85,8 +86,8 @@ def map_component(f, path):
 
 
 def red_cell(path):
-    """A red arc on a component's circle, found by its hang points (the
-    path's coordinates); its image under a diagram names the image."""
+    """A red arc on the circle of a component: the cell whose image
+    under a diagram names the image component."""
     return geometry.cell_at(AIRPLANE, [x for step in validate_path(path)
                                        for x in step])
 

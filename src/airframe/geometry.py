@@ -136,22 +136,16 @@ def cell_at(system, points):
     point may be where a base line hangs (ATTACHED); any other is the
     midpoint of a cell of the current line, whose children that start a
     new line are the next.  No points: the first central arc."""
-    line, hung = _base_lines(system)
+    edges = system.base.edges
+    line = [((eid, ()), color) + CENTRAL[eid]
+            for eid, color, _, _ in edges if eid in CENTRAL]
+    hung = {ATTACHED[eid]: [((eid, ()), color) + LINE]
+            for eid, color, _, _ in edges if eid in ATTACHED}
     for k, x in enumerate(points):
         if not is_dyadic(x):
             raise ValueError("not dyadic: %s" % x)
         line = (not k and hung.get(x)) or _next_line(system, line, x)
     return line[0][0]
-
-
-@functools.cache
-def _base_lines(system):
-    """The central arcs, and {point: the base line hanging there}."""
-    edges = system.base.edges
-    return ([((eid, ()), color) + CENTRAL[eid]
-             for eid, color, _, _ in edges if eid in CENTRAL],
-            {ATTACHED[eid]: [((eid, ()), color) + LINE]
-             for eid, color, _, _ in edges if eid in ATTACHED})
 
 
 def _next_line(system, line, x):

@@ -96,8 +96,9 @@ def basilica_vertex(loop_addr):
     """Component -> chain of attachment angles from the center: the hang
     points of its loop cell, or of any cell on its circle, past the
     cell's own midpoint."""
-    return () if loop_addr is None else \
-        tuple(geometry.hang_points(BASILICA, loop_addr)[:0:-1])
+    if loop_addr is None:
+        return ()
+    return tuple(reversed(geometry.hang_points(BASILICA, loop_addr)[1:]))
 
 
 def vertex_to_loop(vertex):
