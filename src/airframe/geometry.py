@@ -160,9 +160,11 @@ def _next_line(system, line, x):
         else:
             raise ValueError("%s is not on this line" % x)
         mid = 2 * d * p == (s + t) * q
+        # at x's cell, its children that start a new line; above it,
+        # the ones that stay on this line
         graph = system.rules[color].graph
-        steps = (_step(graph, s, t, d, i) for i in range(len(graph.edges)))
-        line = [(child(cell, i),) + step[:4]
-                for i, step in enumerate(steps) if step[4] == mid]
+        line = [(child(cell, i),) + _step(graph, s, t, d, i)[:4]
+                for i, (_, _, u, w) in enumerate(graph.edges)
+                if (u not in ENDS and w not in ENDS) == mid]
         if mid:
             return line
