@@ -160,8 +160,8 @@ def _next_line(system, line, x):
         else:
             raise ValueError("%s is not on this line" % x)
         mid = 2 * d * p == (s + t) * q
-        # at x's cell, its children that start a new line; above it,
-        # the ones that stay on this line
+        # at x's cell, its children that start a new line; on the way
+        # down to it, the ones that stay on this line
         graph = system.rules[color].graph
         line = [(child(cell, i),) + _step(graph, s, t, d, i)[:4]
                 for i, (_, _, u, w) in enumerate(graph.edges)
