@@ -17,8 +17,9 @@ from .systems import (airplane_generators, basilica_generators,
 from .words import LONG_NAMES, WordSyntaxError, flatten
 
 
-MAX_SEARCH = 100_000  # the most components or tree vertices that one
-                      # transitivity or intertwine run may build
+MAX_SEARCH = 100_000  # the most components, sampled pairs or tree
+                      # vertices that one transitivity or intertwine
+                      # run may build
 MAX_ORBIT_LEN = 8  # orbit's search grows about threefold per letter
 
 
@@ -120,6 +121,8 @@ def cmd_transitivity(args):
     if _component_count(min(args.depth_bound, 64)) > MAX_SEARCH:
         raise ValueError("--depth-bound %d enumerates more than %d "
                          "components" % (args.depth_bound, MAX_SEARCH))
+    if args.sample is not None and args.sample > MAX_SEARCH:
+        raise ValueError("--sample must be at most %d" % MAX_SEARCH)
     rng = random.Random(args.seed)
     rep = components.check_k_transitivity(
         args.k, gen_set=args.generators, max_den=2 ** args.depth_bound,

@@ -96,6 +96,8 @@ def test_intertwine(capsys):
     # searches too large to build, rejected before they are built
     (["transitivity", "--depth-bound", "40"],
      "--depth-bound 40 enumerates more than 100000 components"),
+    (["transitivity", "--k", "2", "--sample", str(10 ** 8)],
+     "--sample must be at most 100000"),
     (["intertwine", "--bound", str(2 ** 40)],
      "--depth 1 --bound 1099511627776 builds more than 100000"),
     (["intertwine", "--depth", "50"],
