@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import airframe
-from airframe import cli
+from airframe import cli, components, trees
 from airframe.diagram import GraphPairDiagram
 from airframe.words import (MAX_LETTERS, MAX_NESTING, WordSyntaxError, flatten,
                             parse_word)
@@ -112,7 +112,6 @@ def test_vacuous_arguments_fail_cleanly(capsys, argv, message):
 
 
 def test_search_counts_match_what_is_built():
-    from airframe import components, trees
     for depth_bound in range(4):
         assert cli._component_count(depth_bound) == \
             len(components.enumerate_components(2 ** depth_bound, 2))
