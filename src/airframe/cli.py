@@ -17,9 +17,9 @@ from .systems import (airplane_generators, basilica_generators,
 from .words import LONG_NAMES, WordSyntaxError, flatten
 
 
-MAX_SEARCH = 100_000  # the most components, sampled pairs or tree
-                      # vertices that one transitivity or intertwine
-                      # run may build
+MAX_SEARCH = 100_000  # the most components, pairs or tree vertices
+                      # that one transitivity or intertwine run may
+                      # build or check
 MAX_ORBIT_LEN = 8  # orbit's search grows about threefold per letter
 
 
@@ -123,6 +123,12 @@ def cmd_transitivity(args):
                          "components" % (args.depth_bound, MAX_SEARCH))
     if args.sample is not None and args.sample > MAX_SEARCH:
         raise ValueError("--sample must be at most %d" % MAX_SEARCH)
+    if args.k == 2 and args.sample is None:
+        n = _component_count(args.depth_bound)
+        if n * (n - 1) > MAX_SEARCH:
+            raise ValueError("--k 2 --depth-bound %d checks %d ordered pairs, "
+                             "more than %d; pass --sample"
+                             % (args.depth_bound, n * (n - 1), MAX_SEARCH))
     rng = random.Random(args.seed)
     rep = components.check_k_transitivity(
         args.k, gen_set=args.generators, max_den=2 ** args.depth_bound,

@@ -35,6 +35,11 @@ def parse_path(s):
         if not (part.startswith("(") and part.endswith(")")):
             raise ValueError("bad component path %r" % s)
         t, l = part[1:-1].split(",")
+        for x in (t, l):
+            # Fraction would build 10**k for an exponent of k
+            if "e" in x.lower():
+                raise ValueError("bad coordinate %r: no exponent notation"
+                                 % x.strip())
         try:
             out.append((Fraction(t), Fraction(l)))
         except ZeroDivisionError:

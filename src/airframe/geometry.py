@@ -11,6 +11,7 @@ a new line: a fresh ray, the arcs of a fresh circle, a Basilica loop.
 
 import functools
 from fractions import Fraction
+from math import gcd
 
 from .core import child
 from .systems import airplane, basilica, is_dyadic
@@ -24,10 +25,10 @@ BASILICA = basilica()
 # A position is kept as integers (s, t, d): (source, target) = (s/d, t/d).
 # CENTRAL holds the arcs of the central circle; every other base cell is
 # a line of its own, spanning LINE and attached to the central circle at
-# ATTACHED.
+# ATTACHED, a reduced (numerator, denominator) pair.
 LINE = (0, 1, 1)
 CENTRAL = {"rT": (0, 1, 2), "rB": (1, 2, 2), "ct": (0, 1, 2), "cb": (1, 2, 2)}
-ATTACHED = {"bR": Fraction(0), "bL": HALF, "lp": Fraction(0), "lq": HALF}
+ATTACHED = {"bR": (0, 1), "bL": (1, 2), "lp": (0, 1), "lq": (1, 2)}
 
 
 @functools.lru_cache(maxsize=64)
@@ -54,8 +55,9 @@ def _step(graph, s, t, d, i):
     (s, t, d) whose rule graph is `graph`."""
     _, color, u, w = graph.edges[i]
     if u in ENDS or w in ENDS:
-        ends = {"i": 2 * s, "t": 2 * t}
-        return color, ends.get(u, s + t), ends.get(w, s + t), 2 * d, False
+        m = s + t
+        return (color, 2 * s if u == "i" else 2 * t if u == "t" else m,
+                2 * s if w == "i" else 2 * t if w == "t" else m, 2 * d, False)
     low = "i" if s < t else "t"
     return (color,) + _fresh_spans(tuple(graph.edges), low)[i] + (True,)
 
@@ -113,21 +115,33 @@ def line_of(system, addr):
     return None if start == 0 and base in CENTRAL else (base, path[:start])
 
 
-def hang_points(system, addr):
+def hang_chain(system, addr):
     """The cell's midpoint on its line, then the point where that line
-    hangs on the line it hangs from, and so on out to the central circle.
-    Every line on the way is started by a prefix of the cell's path, so
-    one walk gives every point."""
+    hangs on the line it hangs from, and so on out to the central circle,
+    each a reduced (numerator, denominator) pair.  Every line on the way
+    is started by a prefix of the cell's path, so one walk gives every
+    point."""
     base, _ = addr
     steps = trail(system, addr)
     _, s, t, d, k = steps[-1]
-    out = [Fraction(s + t, 2 * d)]
+    out = [reduced(s + t, 2 * d)]
     while k:  # the line started by the prefix of length k
         _, s, t, d, k = steps[k - 1]
-        out.append(Fraction(s + t, 2 * d))
+        out.append(reduced(s + t, 2 * d))
     if base not in CENTRAL:  # a base line hangs on the central circle
         out.append(ATTACHED[base])
     return out
+
+
+def reduced(n, d):
+    """n/d as a reduced (numerator, denominator) pair."""
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def hang_points(system, addr):
+    """hang_chain read as Fractions."""
+    return [Fraction(n, d) for n, d in hang_chain(system, addr)]
 
 
 def cell_at(system, points):
@@ -139,7 +153,7 @@ def cell_at(system, points):
     edges = system.base.edges
     line = [((eid, ()), color) + CENTRAL[eid]
             for eid, color, _, _ in edges if eid in CENTRAL]
-    hung = {ATTACHED[eid]: [((eid, ()), color) + LINE]
+    hung = {Fraction(*ATTACHED[eid]): [((eid, ()), color) + LINE]
             for eid, color, _, _ in edges if eid in ATTACHED}
     for k, x in enumerate(points):
         if not is_dyadic(x):

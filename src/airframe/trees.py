@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import components as comp, geometry
 from .diagram import evaluate_word
-from .geometry import BASILICA, HALF
+from .geometry import AIRPLANE, BASILICA, HALF
 from .systems import airplane_generators, basilica_generators
 
 INC = "inc"  # step outward to the next midpoint circle on this ray
@@ -86,6 +86,32 @@ def _airplane_image(f, red):
     return out
 
 
+def _identified_image(f, red):
+    """identify(vertex_moves(_airplane_image(f, red))) as reduced
+    (numerator, denominator) pairs, read off the integer hang chain of the
+    image arc.  Out from the center the chain alternates a turn angle and
+    a position on the ray turned onto; it passes the checks of
+    validate_path and frak_c_membership, and names the same error when it
+    does not."""
+    points = geometry.hang_chain(AIRPLANE, f.leaf_image(red))[:0:-1]
+    out = []
+    for k in range(0, len(points) - 1, 2):
+        (tn, td), (ln, ld) = points[k], points[k + 1]
+        if td & (td - 1) or ld & (ld - 1) or not 0 <= tn < td \
+                or not 0 < ln < ld or k and (tn == 0 or td == 2) \
+                or ln + 1 != ld:  # not (2^j - 1)/2^j
+            path = comp.image_path(f, red)
+            comp.validate_path(path)
+            raise AssertionError("image left the midpoint-chain tree: %s"
+                                 % comp.format_path(path))
+        # the first turn t is (1/2 - t) mod 1, a later one (1 - t) mod 1;
+        # each outward step along the ray is 1/2
+        out.append(geometry.reduced((td - 2 * tn) % (2 * td), 2 * td)
+                   if not k else geometry.reduced(-tn % td, td))
+        out.extend([(1, 2)] * (ld.bit_length() - 2))
+    return out
+
+
 # --- the Basilica side -------------------------------------------------------
 #
 # Components are the central circle (None) or the circle bounded by a
@@ -99,6 +125,12 @@ def basilica_vertex(loop_addr):
     if loop_addr is None:
         return ()
     return tuple(reversed(geometry.hang_points(BASILICA, loop_addr)[1:]))
+
+
+def _basilica_image(g, cell):
+    """basilica_vertex(g.leaf_image(cell)) as reduced (numerator,
+    denominator) pairs."""
+    return geometry.hang_chain(BASILICA, g.leaf_image(cell))[:0:-1]
 
 
 def vertex_to_loop(vertex):
@@ -175,14 +207,14 @@ def intertwine_check(depth, branch_denominator_bound, pairing=None):
         cell = geometry.cell_at(BASILICA, identify(moves))
         for aname, bname, f, g in diagrams:
             checked += 1
-            left = identify(vertex_moves(_airplane_image(f, red)))
-            right = basilica_vertex(g.leaf_image(cell))
+            left = _identified_image(f, red)
+            right = _basilica_image(g, cell)
             if left != right:
                 mismatches.append({
                     "vertex": [str(m) for m in moves],
                     "pair": "%s~%s" % (aname, bname),
-                    "airplane_image": [str(m) for m in left],
-                    "basilica_image": [str(m) for m in right],
+                    "airplane_image": [str(Fraction(*m)) for m in left],
+                    "basilica_image": [str(Fraction(*m)) for m in right],
                 })
     return {"depth": depth, "bound": bound,
             "checked": checked, "mismatches": mismatches,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -104,9 +105,17 @@ def test_intertwine(capsys):
      "--depth 50 --bound 4 builds more than 100000 tree vertices"),
     (["orbit", "central", "(0,1/2)", "--max-len", "9"],
      "--max-len must be at most 8"),
+    (["transitivity", "--k", "2"],
+     "--k 2 --depth-bound 3 checks 5800872 ordered pairs, more than 100000;"
+     " pass --sample"),
+    # Fraction would build 10**10000000 before any check saw it
+    (["orbit", "(1e-10000000,1/2)", "central"],
+     "bad coordinate '1e-10000000': no exponent notation"),
 ])
 def test_vacuous_arguments_fail_cleanly(capsys, argv, message):
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv, "--json")
+    assert time.perf_counter() - start < 1.0
     assert code == 1 and not out
     assert err.startswith("error: " + message)
 
@@ -124,6 +133,9 @@ def test_search_counts_match_what_is_built():
     assert cli._component_count(4) <= cli.MAX_SEARCH \
         < cli._component_count(5)
     assert cli._vertex_count(3, 16) <= cli.MAX_SEARCH
+    # every ordered pair of --k 2 is checked up to --depth-bound 2
+    n2, n3 = cli._component_count(2), cli._component_count(3)
+    assert n2 * (n2 - 1) <= cli.MAX_SEARCH < n3 * (n3 - 1)
 
 
 def test_unknown_suite_fails_cleanly(capsys):

@@ -46,6 +46,12 @@ def test_serialization_roundtrip():
         comp.parse_path("(1/3,1/2)")
     with pytest.raises(ValueError):
         comp.parse_path("(0,1/2);(0,1/4)")  # inner angle 0 is invalid
+    # integers, p/q and plain decimals; no exponent notation
+    assert comp.parse_path("( 0 , 0.75);(0.125,1/2)") == \
+        ((F(0), F(3, 4)), (F(1, 8), H))
+    for s in ["(5e-1,1/2)", "(0,2.5E-1)", "(1e0,1/2)"]:
+        with pytest.raises(ValueError, match="bad coordinate"):
+            comp.parse_path(s)
 
 
 @settings(max_examples=60, deadline=None)

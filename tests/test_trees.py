@@ -1,9 +1,12 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from airframe import trees
+from airframe.diagram import evaluate_word
 
 F = Fraction
 H = F(1, 2)
@@ -142,3 +145,82 @@ def test_faithfulness_sampled(gens):
             continue
         assert any(trees.airplane_tree_action(gens, word, v) != v
                    for v in verts)
+
+
+# --- the integer comparison against the Fraction one ------------------------
+
+def old_comparison(f, g, moves):
+    """intertwine_check's comparison through Fractions: the identified
+    Airplane image and the Basilica image of one vertex."""
+    red = trees.comp.red_cell(trees.vertex_to_path(trees.moves_to_vertex(moves)))
+    cell = trees.geometry.cell_at(trees.BASILICA, trees.identify(moves))
+    return (trees.identify(trees.vertex_moves(trees._airplane_image(f, red))),
+            trees.basilica_vertex(g.leaf_image(cell)))
+
+
+def new_comparison(f, g, moves):
+    red = trees.comp.red_cell(trees.vertex_to_path(trees.moves_to_vertex(moves)))
+    cell = trees.geometry.cell_at(trees.BASILICA, trees.identify(moves))
+    return trees._identified_image(f, red), trees._basilica_image(g, cell)
+
+
+def as_fractions(chain):
+    return tuple(F(n, d) for n, d in chain)
+
+
+@functools.cache
+def vertices(depth, bound):
+    return trees.truncated_vertices(depth, bound)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_integer_comparison_agrees_with_fractions(gens, bgens, data):
+    depth = data.draw(st.integers(0, 3))
+    bound = data.draw(st.sampled_from([1, 2, 4, 8, 16]))
+    moves = data.draw(st.sampled_from(vertices(depth, bound)))
+    word = data.draw(st.lists(st.tuples(st.sampled_from("abgd"),
+                                        st.sampled_from([1, -1])),
+                              max_size=6))
+    paired = dict(trees.CANONICAL_PAIRING)
+    f = evaluate_word(gens, word)
+    g = evaluate_word(bgens, [(paired[n], e) for n, e in word])
+    old_left, old_right = old_comparison(f, g, moves)
+    left, right = new_comparison(f, g, moves)
+    assert as_fractions(left) == old_left
+    assert as_fractions(right) == old_right
+    assert (left == right) == (old_left == old_right)
+
+
+def test_integer_comparison_sees_a_swapped_pair(gens, bgens):
+    # alpha against b_B: alpha moves the center out, b_B fixes it
+    f, g = gens["a"], bgens["b"]
+    old_left, old_right = old_comparison(f, g, ())
+    left, right = new_comparison(f, g, ())
+    assert old_left != old_right and left != right
+    assert as_fractions(left) == old_left and as_fractions(right) == old_right
+
+
+@pytest.mark.parametrize("word", [[("e", -1)], [("e", -2)],
+                                  [("a", 1), ("e", -1)]])
+def test_integer_image_fails_as_the_fraction_one(gens, word):
+    # these words carry some vertices out of the midpoint-chain tree;
+    # both routes raise the same error there and agree elsewhere
+    f = evaluate_word(gens, word)
+    failures = 0
+    for moves in vertices(2, 4):
+        red = trees.comp.red_cell(
+            trees.vertex_to_path(trees.moves_to_vertex(moves)))
+        outcomes = []
+        for image in (trees._airplane_image, trees._identified_image):
+            try:
+                outcomes.append(image(f, red))
+            except (AssertionError, ValueError) as ex:
+                outcomes.append((type(ex), str(ex)))
+        old, new = outcomes
+        if isinstance(old, tuple) and old and isinstance(old[0], type):
+            failures += 1
+            assert new == old
+        else:
+            assert as_fractions(new) == trees.identify(trees.vertex_moves(old))
+    assert failures
