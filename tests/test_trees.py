@@ -149,23 +149,27 @@ def test_faithfulness_sampled(gens):
 
 # --- the integer comparison against the Fraction one ------------------------
 
-def old_comparison(f, g, moves):
-    """intertwine_check's comparison through Fractions: the identified
-    Airplane image and the Basilica image of one vertex."""
+def located(moves):
+    """The Airplane red cell and the Basilica cell of a vertex, as
+    intertwine_check locates them."""
     red = trees.comp.red_cell(trees.vertex_to_path(trees.moves_to_vertex(moves)))
-    cell = trees.geometry.cell_at(trees.BASILICA, trees.identify(moves))
-    return (trees.identify(trees.vertex_moves(trees._airplane_image(f, red))),
-            trees.basilica_vertex(g.leaf_image(cell)))
+    return red, trees.geometry.cell_at(trees.BASILICA, trees.identify(moves))
 
 
-def new_comparison(f, g, moves):
-    red = trees.comp.red_cell(trees.vertex_to_path(trees.moves_to_vertex(moves)))
-    cell = trees.geometry.cell_at(trees.BASILICA, trees.identify(moves))
-    return trees._identified_image(f, red), trees._basilica_image(g, cell)
+def comparisons(f, g, moves):
+    """(the Fraction chains, the integer chains read as Fractions): the
+    identified Airplane image and the Basilica image of one vertex."""
+    red, cell = located(moves)
+    old = (trees.identify(trees.vertex_moves(trees._airplane_image(f, red))),
+           trees.basilica_vertex(g.leaf_image(cell)))
+    new = (trees._identified_image(f, red), trees._basilica_image(g, cell))
+    return old, tuple(tuple(F(n, d) for n, d in c) for c in new)
 
 
-def as_fractions(chain):
-    return tuple(F(n, d) for n, d in chain)
+def verdicts(f, g, moves):
+    (old_left, old_right), (left, right) = comparisons(f, g, moves)
+    assert (left, right) == (old_left, old_right)
+    return old_left == old_right, left == right
 
 
 @functools.cache
@@ -185,20 +189,22 @@ def test_integer_comparison_agrees_with_fractions(gens, bgens, data):
     paired = dict(trees.CANONICAL_PAIRING)
     f = evaluate_word(gens, word)
     g = evaluate_word(bgens, [(paired[n], e) for n, e in word])
-    old_left, old_right = old_comparison(f, g, moves)
-    left, right = new_comparison(f, g, moves)
-    assert as_fractions(left) == old_left
-    assert as_fractions(right) == old_right
-    assert (left == right) == (old_left == old_right)
+    old, new = verdicts(f, g, moves)
+    assert old == new
 
 
 def test_integer_comparison_sees_a_swapped_pair(gens, bgens):
-    # alpha against b_B: alpha moves the center out, b_B fixes it
-    f, g = gens["a"], bgens["b"]
-    old_left, old_right = old_comparison(f, g, ())
-    left, right = new_comparison(f, g, ())
-    assert old_left != old_right and left != right
-    assert as_fractions(left) == old_left and as_fractions(right) == old_right
+    # under SWAPPED, alpha meets b_B: alpha moves the center out, b_B
+    # fixes it
+    f, g = gens["a"], bgens[dict(SWAPPED)["a"]]
+    assert verdicts(f, g, ()) == (False, False)
+
+
+def outcome(image, f, red):
+    try:
+        return image(f, red)
+    except (AssertionError, ValueError) as ex:
+        return type(ex), str(ex)
 
 
 @pytest.mark.parametrize("word", [[("e", -1)], [("e", -2)],
@@ -209,18 +215,13 @@ def test_integer_image_fails_as_the_fraction_one(gens, word):
     f = evaluate_word(gens, word)
     failures = 0
     for moves in vertices(2, 4):
-        red = trees.comp.red_cell(
-            trees.vertex_to_path(trees.moves_to_vertex(moves)))
-        outcomes = []
-        for image in (trees._airplane_image, trees._identified_image):
-            try:
-                outcomes.append(image(f, red))
-            except (AssertionError, ValueError) as ex:
-                outcomes.append((type(ex), str(ex)))
-        old, new = outcomes
-        if isinstance(old, tuple) and old and isinstance(old[0], type):
+        red, _ = located(moves)
+        old = outcome(trees._airplane_image, f, red)
+        new = outcome(trees._identified_image, f, red)
+        if old and isinstance(old[0], type):
             failures += 1
             assert new == old
         else:
-            assert as_fractions(new) == trees.identify(trees.vertex_moves(old))
+            assert tuple(F(n, d) for n, d in new) == \
+                trees.identify(trees.vertex_moves(old))
     assert failures
