@@ -10,7 +10,7 @@ group of the cycle.
 
 import functools
 
-from .core import Expansion, child
+from .core import Expansion, child, format_address
 from .diagram import GraphPairDiagram
 from .systems import circular_airplane
 
@@ -66,7 +66,10 @@ def phi_diagram(f):
     mapping = {}
     for a, (b, rev) in f.mapping.items():
         if a in dsingle:
-            mapping[dsingle[a]] = (rsingle[b], rev)
+            if rev:  # a red arc is one edge of the cycle
+                raise ValueError("red cell %s reverses orientation"
+                                 % format_address(a))
+            mapping[dsingle[a]] = (rsingle[b], False)
         else:
             pa, qa = dpair[a]
             pb, qb = rpair[b]

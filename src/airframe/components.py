@@ -32,31 +32,48 @@ def parse_path(s):
     out = []
     for part in s.split(";"):
         part = part.strip()
-        if not (part.startswith("(") and part.endswith(")")):
+        coords = part[1:-1].split(",")
+        if part[:1] != "(" or part[-1:] != ")" or len(coords) != 2:
             raise ValueError("bad component path %r" % s)
-        t, l = part[1:-1].split(",")
-        for x in (t, l):
+        for x in coords:
             # Fraction would build 10**k for an exponent of k
             if "e" in x.lower():
                 raise ValueError("bad coordinate %r: no exponent notation"
                                  % x.strip())
         try:
-            out.append((Fraction(t), Fraction(l)))
+            out.append(tuple(map(Fraction, coords)))
         except ZeroDivisionError:
             raise ValueError("zero denominator in %r" % part) from None
+        except ValueError:  # not a number
+            raise ValueError("bad component path %r" % s) from None
     return validate_path(tuple(out))
 
 
 def validate_path(path):
-    for k, (t, l) in enumerate(path):
-        for x in (t, l):
-            if x.denominator & (x.denominator - 1):
-                raise ValueError("not dyadic: %s" % x)
-        if not (0 <= t < 1) or not (0 < l < 1):
-            raise ValueError("coordinate out of range")
-        if k > 0 and t in (0, HALF):
-            raise ValueError("inner angle 0 or 1/2 names no ray")
+    check_chain(path_chain(path))
     return tuple(path)
+
+
+def path_chain(path):
+    """A component path's coordinates out from the center (angle,
+    position, angle, ...) as (numerator, denominator) pairs."""
+    return [(x.numerator, x.denominator) for t, l in path for x in (t, l)]
+
+
+def check_chain(chain):
+    """The chain of a component path (reduced pairs, as path_chain reads
+    it); ValueError unless its coordinates are dyadic, its angles in
+    [0, 1), its positions in (0, 1) and no inner angle is 0 or 1/2."""
+    for k in range(0, len(chain) - 1, 2):
+        for n, d in chain[k:k + 2]:
+            if d & (d - 1):
+                raise ValueError("not dyadic: %s" % Fraction(n, d))
+        (tn, td), (ln, ld) = chain[k:k + 2]
+        if not 0 <= tn < td or not 0 < ln < ld:
+            raise ValueError("coordinate out of range")
+        if k and (tn == 0 or td == 2):
+            raise ValueError("inner angle 0 or 1/2 names no ray")
+    return chain
 
 
 # --- address-level geometry -------------------------------------------------
@@ -68,15 +85,15 @@ def component_path(creating_blue):
     """Creating blue edge (or None) -> component path."""
     if creating_blue is None:
         return ()
-    return _read_path(geometry.hang_points(AIRPLANE, creating_blue))
+    return _read_path(geometry.hang_chain(AIRPLANE, creating_blue))
 
 
-def _read_path(points):
-    """The component path of a circle, from the hang points of the blue
-    edge that creates it.  Out from the edge they alternate: the edge's
-    position on its ray, the angle where that ray hangs on a circle, the
-    position where that circle hangs on the next ray, and so on."""
-    points = points[::-1]
+def _read_path(chain):
+    """The component path of a circle, from the hang chain of the blue
+    edge that creates it.  Out from the center it alternates: the angle
+    where a ray hangs on a circle, then the position on that ray of the
+    next circle, or at last of the edge."""
+    points = [Fraction(n, d) for n, d in chain]
     return tuple(zip(points[::2], points[1::2]))
 
 
@@ -93,15 +110,14 @@ def map_component(f, path):
 def red_cell(path):
     """A red arc on the circle of a component: the cell whose image
     under a diagram names the image component."""
-    return geometry.cell_at(AIRPLANE, [x for step in validate_path(path)
-                                       for x in step])
+    return geometry.cell_at(AIRPLANE, check_chain(path_chain(path)))
 
 
 def image_path(f, red):
     """The component path of the circle that f carries red arc `red`
-    onto.  That circle hangs where its creating edge sits, so past the
-    image arc's own midpoint its hang points are the edge's."""
-    return _read_path(geometry.hang_points(AIRPLANE, f.leaf_image(red))[1:])
+    onto.  That circle hangs where its creating edge sits, so the image
+    arc's hang chain without its own midpoint is the edge's."""
+    return _read_path(geometry.hang_chain(AIRPLANE, f.leaf_image(red))[:-1])
 
 
 # --- coordinate actions of the generators ----------------------------------

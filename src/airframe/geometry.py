@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .core import child
-from .systems import airplane, basilica, is_dyadic
+from .systems import airplane, basilica
 
 HALF = Fraction(1, 2)
 ENDS = ("i", "t")
@@ -116,11 +116,11 @@ def line_of(system, addr):
 
 
 def hang_chain(system, addr):
-    """The cell's midpoint on its line, then the point where that line
-    hangs on the line it hangs from, and so on out to the central circle,
-    each a reduced (numerator, denominator) pair.  Every line on the way
-    is started by a prefix of the cell's path, so one walk gives every
-    point."""
+    """The points that lead out from the central circle to the cell, each
+    a reduced (numerator, denominator) pair: where each line on the way
+    hangs on the one before, ending with the cell's midpoint on its own
+    line.  Every line on the way is started by a prefix of the cell's
+    path, so one walk gives every point."""
     base, _ = addr
     steps = trail(system, addr)
     _, s, t, d, k = steps[-1]
@@ -130,7 +130,7 @@ def hang_chain(system, addr):
         out.append(reduced(s + t, 2 * d))
     if base not in CENTRAL:  # a base line hangs on the central circle
         out.append(ATTACHED[base])
-    return out
+    return out[::-1]
 
 
 def reduced(n, d):
@@ -139,42 +139,36 @@ def reduced(n, d):
     return n // g, d // g
 
 
-def hang_points(system, addr):
-    """hang_chain read as Fractions."""
-    return [Fraction(n, d) for n, d in hang_chain(system, addr)]
-
-
 def cell_at(system, points):
-    """The inverse of hang_points: the first cell of the line that a
-    chain of points reaches, out from the central circle.  The first
+    """The inverse of hang_chain without its last point: the first cell
+    of the line that a chain of reduced pairs reaches.  The first
     point may be where a base line hangs (ATTACHED); any other is the
     midpoint of a cell of the current line, whose children that start a
     new line are the next.  No points: the first central arc."""
     edges = system.base.edges
     line = [((eid, ()), color) + CENTRAL[eid]
             for eid, color, _, _ in edges if eid in CENTRAL]
-    hung = {Fraction(*ATTACHED[eid]): [((eid, ()), color) + LINE]
+    hung = {ATTACHED[eid]: [((eid, ()), color) + LINE]
             for eid, color, _, _ in edges if eid in ATTACHED}
-    for k, x in enumerate(points):
-        if not is_dyadic(x):
-            raise ValueError("not dyadic: %s" % x)
-        line = (not k and hung.get(x)) or _next_line(system, line, x)
+    for k, (p, q) in enumerate(points):
+        if q & (q - 1):
+            raise ValueError("not dyadic: %s" % Fraction(p, q))
+        line = (not k and hung.get((p, q))) or _next_line(system, line, p, q)
     return line[0][0]
 
 
-def _next_line(system, line, x):
-    """The line started by the cell whose midpoint is x, found by
-    descending from the cell of `line` that holds x, along the line."""
-    p, q = x.numerator, x.denominator
+def _next_line(system, line, p, q):
+    """The line started by the cell whose midpoint is p/q, found by
+    descending from the cell of `line` that holds p/q, along the line."""
     while True:
         for cell, color, s, t, d in line:
-            # x = p/q against (s/d, t/d), in integers
+            # p/q against (s/d, t/d), in integers
             if min(s, t) * q < d * p < max(s, t) * q:
                 break
         else:
-            raise ValueError("%s is not on this line" % x)
+            raise ValueError("%s is not on this line" % Fraction(p, q))
         mid = 2 * d * p == (s + t) * q
-        # at x's cell, its children that start a new line; on the way
+        # at p/q's cell, its children that start a new line; on the way
         # down to it, the ones that stay on this line
         graph = system.rules[color].graph
         line = [(child(cell, i),) + _step(graph, s, t, d, i)[:4]

@@ -15,10 +15,6 @@ from .core import Graph, ReplacementRule, ReplacementSystem
 from .diagram import GraphPairDiagram
 
 
-def is_dyadic(x):
-    return x.denominator & (x.denominator - 1) == 0
-
-
 def airplane():
     base = Graph([
         ("bL", "blue", "L", "vL"),

@@ -31,10 +31,9 @@ def frak_c_membership(path):
     if some position is not of the form (2^k-1)/2^k."""
     out = []
     for t, l in comp.validate_path(path):
-        k = (1 + l.numerator).bit_length() - 1
-        if Fraction(2 ** k - 1, 2 ** k) != l:
+        if l.numerator + 1 != l.denominator:
             return None
-        out.append((t, k))
+        out.append((t, l.denominator.bit_length() - 1))
     return tuple(out)
 
 
@@ -88,22 +87,23 @@ def _airplane_image(f, red):
 
 def _identified_image(f, red):
     """identify(vertex_moves(_airplane_image(f, red))) as reduced
-    (numerator, denominator) pairs, read off the integer hang chain of the
-    image arc.  Out from the center the chain alternates a turn angle and
-    a position on the ray turned onto; it passes the checks of
-    validate_path and frak_c_membership, and names the same error when it
-    does not."""
-    points = geometry.hang_chain(AIRPLANE, f.leaf_image(red))[:0:-1]
+    (numerator, denominator) pairs, read off the image arc's hang chain
+    and failing as _airplane_image does: first validate_path's checks,
+    then frak_c_membership's midpoint form."""
+    chain = comp.check_chain(
+        geometry.hang_chain(AIRPLANE, f.leaf_image(red))[:-1])
+    if any(ln + 1 != ld for ln, ld in chain[1::2]):  # not (2^j - 1)/2^j
+        raise AssertionError("image left the midpoint-chain tree: %s"
+                             % comp.format_path(comp.image_path(f, red)))
+    return _identified(chain)
+
+
+def _identified(chain):
+    """identify(vertex_moves(v)) as reduced pairs, for the FrakC vertex
+    v whose component path reads as `chain` (comp.path_chain)."""
     out = []
-    for k in range(0, len(points) - 1, 2):
-        (tn, td), (ln, ld) = points[k], points[k + 1]
-        if td & (td - 1) or ld & (ld - 1) or not 0 <= tn < td \
-                or not 0 < ln < ld or k and (tn == 0 or td == 2) \
-                or ln + 1 != ld:  # not (2^j - 1)/2^j
-            path = comp.image_path(f, red)
-            comp.validate_path(path)
-            raise AssertionError("image left the midpoint-chain tree: %s"
-                                 % comp.format_path(path))
+    for k in range(0, len(chain) - 1, 2):
+        (tn, td), (_, ld) = chain[k], chain[k + 1]
         # the first turn t is (1/2 - t) mod 1, a later one (1 - t) mod 1;
         # each outward step along the ray is 1/2
         out.append(geometry.reduced((td - 2 * tn) % (2 * td), 2 * td)
@@ -120,22 +120,24 @@ def _identified_image(f, red):
 
 def basilica_vertex(loop_addr):
     """Component -> chain of attachment angles from the center: the hang
-    points of its loop cell, or of any cell on its circle, past the
+    chain of its loop cell, or of any cell on its circle, but for the
     cell's own midpoint."""
     if loop_addr is None:
         return ()
-    return tuple(reversed(geometry.hang_points(BASILICA, loop_addr)[1:]))
+    return tuple(Fraction(n, d)
+                 for n, d in geometry.hang_chain(BASILICA, loop_addr)[:-1])
 
 
 def _basilica_image(g, cell):
     """basilica_vertex(g.leaf_image(cell)) as reduced (numerator,
     denominator) pairs."""
-    return geometry.hang_chain(BASILICA, g.leaf_image(cell))[:0:-1]
+    return geometry.hang_chain(BASILICA, g.leaf_image(cell))[:-1]
 
 
 def vertex_to_loop(vertex):
     """Chain of attachment angles -> loop address (None = central)."""
-    return geometry.cell_at(BASILICA, vertex) if vertex else None
+    return geometry.cell_at(BASILICA, [(x.numerator, x.denominator)
+                                       for x in vertex]) if vertex else None
 
 
 def map_basilica_component(f, loop_addr):
@@ -146,7 +148,7 @@ def map_basilica_component(f, loop_addr):
 
 def basilica_tree_action(table, word, vertex):
     f = evaluate_word(table, word)
-    return basilica_vertex(f.leaf_image(geometry.cell_at(BASILICA, vertex)))
+    return basilica_vertex(map_basilica_component(f, vertex_to_loop(vertex)))
 
 
 # --- the identification and the intertwine check -----------------------------
@@ -171,17 +173,12 @@ def truncated_vertices(depth, bound):
     """FrakC vertices with at most `depth` moves, every turn angle of
     denominator at most `bound`."""
     turns = [Fraction(j, bound) for j in range(bound)]
-    out = [()]
-    level = [()]
+    inner = [INC] + [t for t in turns if t not in (0, HALF)]
+    out, level = [()], [()]
     for _ in range(depth):
-        nxt = []
-        for moves in level:
-            opts = turns if not moves else \
-                [INC] + [t for t in turns if t not in (0, HALF)]
-            for m in opts:
-                nxt.append(moves + (m,))
-        out.extend(nxt)
-        level = nxt
+        level = [moves + (m,) for moves in level
+                 for m in (inner if moves else turns)]
+        out += level
     return out
 
 
@@ -203,8 +200,9 @@ def intertwine_check(depth, branch_denominator_bound, pairing=None):
     checked = 0
     for moves in truncated_vertices(depth, bound):
         # each vertex is located once on each side, not once per pair
-        red = comp.red_cell(vertex_to_path(moves_to_vertex(moves)))
-        cell = geometry.cell_at(BASILICA, identify(moves))
+        chain = comp.path_chain(vertex_to_path(moves_to_vertex(moves)))
+        red = geometry.cell_at(AIRPLANE, chain)
+        cell = geometry.cell_at(BASILICA, _identified(chain))
         for aname, bname, f, g in diagrams:
             checked += 1
             left = _identified_image(f, red)

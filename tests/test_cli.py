@@ -120,6 +120,20 @@ def test_vacuous_arguments_fail_cleanly(capsys, argv, message):
     assert err.startswith("error: " + message)
 
 
+@pytest.mark.parametrize("path, message", [
+    ("(1/2,1/4,1/8)", "bad component path '(1/2,1/4,1/8)'"),
+    ("(1/2)", "bad component path '(1/2)'"),
+    ("(0,1/2);(1/4)", "bad component path '(0,1/2);(1/4)'"),
+    ("((1/4,1/2))", "bad component path '((1/4,1/2))'"),
+    ("(1/4,x)", "bad component path '(1/4,x)'"),
+])
+def test_malformed_component_paths_fail_cleanly(capsys, path, message):
+    for argv in (["orbit", path, "central"], ["orbit", "central", path]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert err == "error: %s\n" % message
+
+
 def test_search_counts_match_what_is_built():
     for depth_bound in range(4):
         assert cli._component_count(depth_bound) == \

@@ -54,6 +54,32 @@ def test_serialization_roundtrip():
             comp.parse_path(s)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(1/3,1/2)", "not dyadic: 1/3"),
+    ("(0,3/10)", "not dyadic: 3/10"),
+    ("(1,1/2)", "coordinate out of range"),
+    ("(0,0)", "coordinate out of range"),
+    ("(0,1)", "coordinate out of range"),
+    ("(-1/4,1/2)", "coordinate out of range"),
+    ("(1/4,1/2);(0,1/4)", "inner angle 0 or 1/2 names no ray"),
+    ("(1/4,1/2);(1/2,1/4)", "inner angle 0 or 1/2 names no ray"),
+    # the whole chain is read step by step, each step's rules in order
+    ("(1/4,1);(1/3,1/2)", "coordinate out of range"),
+    ("(1/4,1/2);(0,1/3)", "not dyadic: 1/3"),
+])
+def test_parse_path_and_check_chain_fail_alike(text, message):
+    steps = [part.strip("()").split(",") for part in text.split(";")]
+    path = tuple((F(t), F(l)) for t, l in steps)
+    errors = []
+    for check in (lambda: comp.parse_path(text),
+                  lambda: comp.validate_path(path),
+                  lambda: comp.check_chain(comp.path_chain(path))):
+        with pytest.raises(ValueError) as err:
+            check()
+        errors.append(str(err.value))
+    assert errors == [message] * 3
+
+
 @settings(max_examples=60, deadline=None)
 @given(paths())
 def test_address_roundtrip(p):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from airframe import analysis, components as comp, geometry, trees
+from airframe.circularize import phi_diagram
 from airframe.core import child, parent
 from airframe.diagram import (GraphPairDiagram, commutator, evaluate_word,
                               identity)
@@ -28,6 +29,17 @@ FLIP = GraphPairDiagram.from_strings(G["a"].system, [
 TABLES = {"airplane": G, "airplane+flip": dict(G, f=FLIP),
           "basilica": basilica_generators(),
           "interval": interval_generators(), "circle": circle_generators()}
+
+
+def test_phi_refuses_a_reversed_red_pair():
+    # the cycle image of FLIP, or of any expansion of it, would turn its
+    # red edges end for end
+    for f in (FLIP, FLIP.expand_pair(("rT", ())),
+              FLIP.expand_pair(("bL", ()))):
+        with pytest.raises(ValueError) as err:
+            phi_diagram(f)
+        assert "orientation" in str(err.value)
+
 
 words = st.lists(
     st.tuples(st.sampled_from("abgde"), st.sampled_from([1, -1])),

@@ -3,16 +3,11 @@ from fractions import Fraction
 import pytest
 
 from airframe.diagram import commutator, evaluate_word
-from airframe.systems import (PLMap, circle_generators, interval_generators,
-                              is_dyadic)
+from airframe.systems import PLMap, circle_generators, interval_generators
 
 
 F = Fraction
 H = F(1, 2)
-
-
-def test_dyadic_type():
-    assert is_dyadic(F(5, 16)) and not is_dyadic(F(1, 6))
 
 
 # --- defining relations of the Airplane group -------------------------------

@@ -149,11 +149,32 @@ def test_faithfulness_sampled(gens):
 
 # --- the integer comparison against the Fraction one ------------------------
 
+def pairs(xs):
+    return [(x.numerator, x.denominator) for x in xs]
+
+
+def chain_of(moves):
+    return trees.comp.path_chain(
+        trees.vertex_to_path(trees.moves_to_vertex(moves)))
+
+
 def located(moves):
-    """The Airplane red cell and the Basilica cell of a vertex, as
-    intertwine_check locates them."""
-    red = trees.comp.red_cell(trees.vertex_to_path(trees.moves_to_vertex(moves)))
-    return red, trees.geometry.cell_at(trees.BASILICA, trees.identify(moves))
+    """The Airplane red cell and the Basilica cell of a vertex, looked up
+    by cell_at on integer pairs; the Basilica side through identify."""
+    cell_at = trees.geometry.cell_at
+    return (cell_at(trees.AIRPLANE, chain_of(moves)),
+            cell_at(trees.BASILICA, pairs(trees.identify(moves))))
+
+
+def test_vertices_are_located_as_intertwine_check_locates_them():
+    for moves in vertices(3, 8):
+        red, cell = located(moves)
+        chain = chain_of(moves)
+        assert trees._identified(chain) == pairs(trees.identify(moves))
+        assert red == trees.comp.red_cell(
+            trees.vertex_to_path(trees.moves_to_vertex(moves)))
+        assert cell == trees.geometry.cell_at(trees.BASILICA,
+                                              trees._identified(chain))
 
 
 def comparisons(f, g, moves):
