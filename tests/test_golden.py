@@ -239,8 +239,9 @@ def _word(w):
 
 def solver_cases():
     """Solver words: to the center with both generating sets, and for
-    pairs; orbit words between the points of the CLI's orbit pool; the
-    1-transitivity reports at denominator 4."""
+    pairs; orbit words between the points of the CLI's orbit pool, at
+    lengths 2 and 3; the 1-transitivity reports at denominator 4 and a
+    sampled 2-transitivity report."""
     rng = random.Random(7331)
     comps = comp.enumerate_components(8, 2)
     for i, chunk in _chunks(rng.sample(comps, 300), 50):
@@ -255,9 +256,14 @@ def solver_cases():
     for src in pool:
         yield "orbit " + comp.format_path(src), [
             _word(comp.orbit_search(src, tgt, 2)) for tgt in pool]
+        yield "orbit len 3 " + comp.format_path(src), [
+            _word(comp.orbit_search(src, tgt, 3)) for tgt in pool]
     for gen_set in ("five", "commutator"):
         yield ("transitivity 1 %s 4" % gen_set,
                comp.check_k_transitivity(1, gen_set, 4))
+    yield ("transitivity 2 five 4 sample 50",
+           comp.check_k_transitivity(2, "five", 4, sample=50,
+                                     rng=random.Random(0)))
 
 
 def vertex_cases():
