@@ -29,16 +29,14 @@ def blue_edge_length(system, addr):
 # --- the derivative homomorphism D ----------------------------------------
 
 def log2(x):
-    n = 0
-    while x < 1:
-        x *= 2
-        n -= 1
-    while x > 1:
-        x /= 2
-        n += 1
-    if x != 1:
+    """k with x = 2**k, read off x's reduced numerator and denominator."""
+    x = Fraction(x)
+    if x <= 0:
+        raise ValueError("not positive: %s" % x)
+    n, d = x.numerator, x.denominator
+    if n & (n - 1) or d & (d - 1):
         raise ValueError("not a power of two")
-    return n
+    return n.bit_length() - d.bit_length()
 
 
 def _extremal_derivatives(f):

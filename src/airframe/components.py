@@ -11,7 +11,9 @@ the tip.
 
 import functools
 import heapq
+from bisect import bisect_right
 from fractions import Fraction
+from math import gcd
 
 from .core import parent
 from . import analysis, geometry
@@ -56,8 +58,9 @@ def validate_path(path):
 
 def path_chain(path):
     """A component path's coordinates out from the center (angle,
-    position, angle, ...) as (numerator, denominator) pairs."""
-    return [(x.numerator, x.denominator) for t, l in path for x in (t, l)]
+    position, angle, ...) as a tuple of (numerator, denominator) pairs."""
+    return tuple([(x.numerator, x.denominator) for t, l in path
+                  for x in (t, l)])
 
 
 def check_chain(chain):
@@ -176,6 +179,79 @@ def act_word(word, path):
     return path
 
 
+# --- the same action on chains, in integers --------------------------------
+#
+# chain_act is act on the chain of a path (path_chain): the same maps
+# read as integer pieces, so no Fraction is built.  act stays the
+# solver's action and the reference chain_act is tested against; the
+# transitivity checks and the orbit search run on chains.
+
+@functools.cache
+def _chain_maps():
+    """{(name, sign): (circle, D, starts, lines)}: the maps of
+    _generator_maps() in integers.  A piece's left end x0 is held as
+    x0 * D, for D the largest denominator among them, and at x = n/d
+    its line gives y = (a n + b d) / (c d) for its (a, b, c)."""
+    out = {}
+    for key, h in _generator_maps().items():
+        x0s, lines = zip(*h.pieces())
+        D = max(x.denominator for x in x0s)
+        out[key] = (h.circle, D,
+                    tuple(x.numerator * (D // x.denominator) for x in x0s),
+                    tuple((mn * cd, cn * md, cd * md)
+                          for cn, cd, mn, md in lines))
+    return out
+
+
+def _image(h, n, d):
+    """A _chain_maps() entry's image of n/d as a reduced pair."""
+    circle, D, starts, lines = h
+    X = n * D // d  # compares with the integer starts as n/d does with x0s
+    if X < starts[0]:  # below the lift of a circle map: one period up
+        n += d
+        X += D
+    a, b, c = lines[bisect_right(starts, X) - 1]
+    num, den = a * n + b * d, c * d
+    if circle:
+        num %= den
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def chain_act(name, sign, chain):
+    """act on the chain of a path: apply a generator (sign = +-1)."""
+    try:
+        h = _chain_maps()[name, sign]
+    except KeyError:
+        raise ValueError("unknown generator %r" % name) from None
+    if h[0]:  # a circle map turns the leading angle
+        return (_image(h, *chain[0]),) + chain[1:] if chain else chain
+    # the rule of act: x where the path leaves Hor, in halves of a ray
+    x, rest = (1, 2), chain
+    if chain and chain[0] in ((0, 1), (1, 2)):
+        (tn, _), (ln, ld), rest = chain[0], chain[1], chain[2:]
+        x = (ld + ln if tn == 0 else ld - ln, 2 * ld)
+    yn, yd = _image(h, *x)
+    half = yd // 2
+    head = () if yd == 2 else ((0, 1), (yn - half, half)) if yn > half \
+        else ((1, 2), (half - yn, half))
+    # the angle turned by 1/2 is never 0 or 1/2 (the first angle of a
+    # path off Hor, or an inner one), so its denominator is at least 4
+    if rest and (2 * x[0] > x[1]) != (yn > half):
+        (tn, td), rest = rest[0], rest[1:]
+        rest = (((tn + td // 2) % td, td),) + rest
+    return head + rest
+
+
+def chain_act_word(word, chain):
+    """act_word on the chain of a path."""
+    for name, exp in reversed(word):
+        step = 1 if exp > 0 else -1
+        for _ in range(abs(exp)):
+            chain = chain_act(name, step, chain)
+    return chain
+
+
 # --- alignment --------------------------------------------------------------
 
 def in_route_from_center(x, c):
@@ -241,25 +317,26 @@ def orbit_search(src, tgt, max_len, table=None):
     """Shortlex-least word w with w(src) = tgt, |w| <= max_len.
 
     Searches backward from tgt so that the first written symbol is
-    chosen first; the standard five-generator coordinate action drives
-    the search, and the witness is re-verified through diagrams when a
+    chosen first; the five-generator action on chains drives the
+    search, and the witness is re-verified through diagrams when a
     table is supplied.
     """
     src = validate_path(src)
     tgt = validate_path(tgt)
-    frontier = [(tgt, [])]
-    seen = {tgt}
     if src == tgt:
         return []
+    goal, start = path_chain(src), path_chain(tgt)
+    frontier = [(start, [])]
+    seen = {start}
     for _ in range(max_len):
         nxt = []
         for state, word in frontier:
             for name, sign in GEN_ORDER:
-                s2 = act(name, -sign, state)
+                s2 = chain_act(name, -sign, state)
                 if s2 in seen:
                     continue
                 w2 = word + [(name, sign)]
-                if s2 == src:
+                if s2 == goal:
                     if table is not None:
                         from .diagram import evaluate_word
                         f = evaluate_word(table, w2)
@@ -493,20 +570,21 @@ def check_k_transitivity(k, gen_set="five", max_den=8, word_bound=30,
     comps = enumerate_components(max_den, max_depth)
     failures = []
     checked = 0
+    # each witness is re-applied on chains, apart from the act the solver ran
     if k == 1:
         for c in comps:
             word = solve_to_center(c, gen_set)
             checked += 1
             if word is None or word_cost(word, gen_set) > word_bound \
-                    or act_word(word, c) != ():
+                    or chain_act_word(word, path_chain(c)) != ():
                 failures.append(format_path(c))
     elif k == 2:
         for c1, c2 in ordered_pairs(comps, sample, rng):
             word = solve_pair(c1, c2)
             checked += 1
-            ok = (word is not None
-                  and act_word(word, c1) == ()
-                  and act_word(word, c2) == ((Fraction(0), HALF),))
+            ok = (word is not None  # c2 to ((0, 1/2)), as a chain
+                  and chain_act_word(word, path_chain(c1)) == ()
+                  and chain_act_word(word, path_chain(c2)) == ((0, 1), (1, 2)))
             if not ok:
                 failures.append((format_path(c1), format_path(c2)))
     else:

@@ -145,16 +145,24 @@ def cell_at(system, points):
     point may be where a base line hangs (ATTACHED); any other is the
     midpoint of a cell of the current line, whose children that start a
     new line are the next.  No points: the first central arc."""
-    edges = system.base.edges
-    line = [((eid, ()), color) + CENTRAL[eid]
-            for eid, color, _, _ in edges if eid in CENTRAL]
-    hung = {ATTACHED[eid]: [((eid, ()), color) + LINE]
-            for eid, color, _, _ in edges if eid in ATTACHED}
+    line, hung = _base_lines(system)
     for k, (p, q) in enumerate(points):
         if q & (q - 1):
             raise ValueError("not dyadic: %s" % Fraction(p, q))
         line = (not k and hung.get((p, q))) or _next_line(system, line, p, q)
     return line[0][0]
+
+
+@functools.lru_cache(maxsize=16)
+def _base_lines(system):
+    """cell_at's start: the central circle's line, and each base line by
+    the point where it hangs (ATTACHED).  Shared, so not to be changed."""
+    edges = system.base.edges
+    line = tuple(((eid, ()), color) + CENTRAL[eid]
+                 for eid, color, _, _ in edges if eid in CENTRAL)
+    hung = {ATTACHED[eid]: (((eid, ()), color) + LINE,)
+            for eid, color, _, _ in edges if eid in ATTACHED}
+    return line, hung
 
 
 def _next_line(system, line, p, q):

@@ -341,6 +341,12 @@ class PLMap:
         num, den = cn * md * d + mn * n * cd, cd * md * d
         return Fraction(num % den if self.circle else num, den)
 
+    def pieces(self):
+        """(left end, (cn, cd, mn, md)) of each piece, whose line is
+        y = cn/cd + (mn/md) x; over one period of the lift for a circle
+        map, whose first piece may start past 0."""
+        return list(zip(self._x0s, self._lines))
+
     def compose(self, other):
         """self after other."""
         if self.circle != other.circle:

@@ -115,3 +115,15 @@ def test_blue_edge_length(A):
     assert analysis.blue_edge_length(A, parse_address("rT.2")) == 1
     with pytest.raises(ValueError):
         analysis.blue_edge_length(A, parse_address("rT"))
+
+
+def test_log2_reads_powers_of_two_and_rejects_the_rest():
+    assert analysis.log2(F(1, 8)) == -3
+    assert analysis.log2(8) == 3
+    assert analysis.log2(1) == 0
+    for x in (0, -1):  # these never returned before
+        with pytest.raises(ValueError, match="not positive"):
+            analysis.log2(F(x))
+    for x in (F(3, 4), 3, F(1, 3)):
+        with pytest.raises(ValueError, match="not a power of two"):
+            analysis.log2(x)

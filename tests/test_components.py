@@ -23,19 +23,25 @@ def table():
     return _TABLE
 
 
-dyadic32 = st.integers(1, 31).map(lambda k: F(k, 32))
-angles32 = st.integers(0, 31).map(lambda k: F(k, 32))
+def dyadics(den, low=1):
+    """k/den for low <= k < den."""
+    return st.integers(low, den - 1).map(lambda k: F(k, den))
 
 
 @st.composite
-def paths(draw, max_depth=3):
+def paths(draw, max_depth=3, den=32):
     depth = draw(st.integers(0, max_depth))
     out = []
     for i in range(depth):
-        t = draw(angles32 if i == 0 else
-                 dyadic32.filter(lambda x: x != H))
-        out.append((t, draw(dyadic32)))
+        t = draw(dyadics(den, 0) if i == 0 else
+                 dyadics(den).filter(lambda x: x != H))
+        out.append((t, draw(dyadics(den))))
     return tuple(out)
+
+
+def words(max_size):
+    return st.lists(st.tuples(st.sampled_from(NAMES),
+                              st.sampled_from([1, -1])), max_size=max_size)
 
 
 def test_serialization_roundtrip():
@@ -107,6 +113,22 @@ def test_fast_action_matches_diagram(p, name, sign):
 def test_map_component_functorial(p, word):
     f = evaluate_word(table(), word)
     assert comp.map_component(f, p) == comp.act_word(word, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(paths(den=64), words(40))
+def test_chain_action_matches_act(p, word):
+    assert comp.chain_act_word(word, comp.path_chain(p)) == \
+        comp.path_chain(comp.act_word(word, p))
+
+
+def test_chain_action_takes_exponents_and_names_unknown_generators():
+    c = comp.path_chain(((F(1, 4), F(3, 8)), (F(5, 8), H)))
+    for name in NAMES:
+        assert comp.chain_act_word([(name, -3)], c) == \
+            comp.chain_act_word([(name, -1)] * 3, c)
+    with pytest.raises(ValueError, match="unknown generator 'x'"):
+        comp.chain_act("x", 1, c)
 
 
 def test_alpha_moves_center_one_way():
@@ -188,6 +210,24 @@ def test_pair_solver():
         w = comp.solve_pair(c1, c2)
         assert comp.act_word(w, c1) == ()
         assert comp.act_word(w, c2) == ((F(0), H),)
+
+
+def test_witness_check_is_live(monkeypatch):
+    """A solver word short of one letter fails the transitivity check."""
+    rng = random.Random(3)
+    assert comp.check_k_transitivity(1, "five", 4)["ok"]
+    assert comp.check_k_transitivity(2, "five", 4, sample=20, rng=rng)["ok"]
+    solve, pair = comp.solve_to_center, comp.solve_pair
+    monkeypatch.setattr(comp, "solve_to_center",
+                        lambda c, gen_set="five": solve(c, gen_set)[1:])
+    rep = comp.check_k_transitivity(1, "five", 4)
+    assert rep["failures"] == [comp.format_path(c) for c in
+                               comp.enumerate_components(4, 2)[1:]]
+    monkeypatch.setattr(comp, "solve_to_center", solve)
+    monkeypatch.setattr(comp, "solve_pair",
+                        lambda c1, c2: pair(c1, c2)[1:])
+    rep = comp.check_k_transitivity(2, "five", 4, sample=20, rng=rng)
+    assert len(rep["failures"]) == 20
 
 
 def test_enumeration_counts():
