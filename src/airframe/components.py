@@ -226,7 +226,7 @@ def chain_act(name, sign, chain):
         raise ValueError("unknown generator %r" % name) from None
     if h[0]:  # a circle map turns the leading angle
         return (_image(h, *chain[0]),) + chain[1:] if chain else chain
-    # the rule of act: x where the path leaves Hor, in halves of a ray
+    # act's rule for an interval map, on pairs: x = (1 +- l)/2 or 1/2
     x, rest = (1, 2), chain
     if chain and chain[0] in ((0, 1), (1, 2)):
         (tn, _), (ln, ld), rest = chain[0], chain[1], chain[2:]

@@ -107,9 +107,7 @@ def test_fast_action_matches_diagram(p, name, sign):
 
 
 @settings(max_examples=30, deadline=None)
-@given(paths(max_depth=2),
-       st.lists(st.tuples(st.sampled_from(NAMES), st.sampled_from([1, -1])),
-                min_size=0, max_size=5))
+@given(paths(max_depth=2), words(5))
 def test_map_component_functorial(p, word):
     f = evaluate_word(table(), word)
     assert comp.map_component(f, p) == comp.act_word(word, p)
