@@ -466,6 +466,45 @@ def _center_step(cur, gen_set):
     return [w1, w2], act_word(w2, cur)
 
 
+# Each solver below is a loop over one level, which removes the leading
+# circle of a path; a path's word is its first level's words followed
+# by the word of the path that level leaves.  WordTable keeps those.
+
+CENTER_LEVELS = 10  # the levels solve_to_center may take
+FIXING_LEVELS = 12  # the levels solve_to_center_fixing_center may take
+
+
+def _center_level(cur, gen_set):
+    """One level of solve_to_center: the center step, then alpha^-1
+    absorbs the leading circle into the center.  Returns (the words in
+    application order, the path they leave), or None."""
+    step = _center_step(cur, gen_set)
+    if step is None:
+        return None
+    words, cur = step
+    return words + [[("a", -1)]], act_word([("a", -1)], cur)
+
+
+def _fixing_level(cur):
+    """One level of solve_to_center_fixing_center: the center step,
+    then, unless it left ((0,1/2),), an unfolding conjugate.  Returns
+    (the words in application order, the path they leave, or None when
+    done), or None if a word is missing."""
+    step = _center_step(cur, "five")
+    if step is None:
+        return None
+    words, cur = step
+    if len(cur) == 1:
+        return words, None
+    # unfold: straighten the next turn onto the right ray while the
+    # unfolding conjugate fixes the center (its circle word fixes 1/2)
+    wt = _bfs_word("stab", (cur[1][0] - HALF) % 1)
+    if wt is None:
+        return None
+    v = [("a", 1)] + list(wt) + [("a", -1)]
+    return words + [v], act_word(v, cur)
+
+
 def solve_to_center(path, gen_set="five"):
     """A word mapping the component to the central one.
 
@@ -475,57 +514,109 @@ def solve_to_center(path, gen_set="five"):
     """
     cur = validate_path(path)
     pieces = []  # words in application order
-    for _ in range(10):
+    for _ in range(CENTER_LEVELS):
         if not cur:
             break
-        step = _center_step(cur, gen_set)
-        if step is None:
+        level = _center_level(cur, gen_set)
+        if level is None:
             return None
-        words, cur = step
-        cur = act_word([("a", -1)], cur)
-        pieces += words + [[("a", -1)]]
+        words, cur = level
+        pieces += words
     return None if cur else _flatten(pieces)
 
 
 def solve_to_center_fixing_center(path):
     """A word fixing the central component and mapping the given
     component to ((0,1/2)).  Used for 2-transitivity."""
+    cur = _off_center(path)
+    pieces = []
+    for _ in range(FIXING_LEVELS):
+        level = _fixing_level(cur)
+        if level is None:
+            return None
+        words, cur = level
+        pieces += words
+        if cur is None:
+            return _flatten(pieces)
+    return None
+
+
+def _off_center(path):
     cur = validate_path(path)
     if not cur:
         raise ValueError("cannot move the central component while fixing it")
-    pieces = []
-    for _ in range(12):
-        step = _center_step(cur, "five")
-        if step is None:
-            return None
-        words, cur = step
-        pieces += words
-        if len(cur) == 1:
-            return _flatten(pieces)
-        # unfold: straighten the next turn onto the right ray while the
-        # unfolding conjugate fixes the center (its circle word fixes 1/2)
-        wt = _bfs_word("stab", (cur[1][0] - HALF) % 1)
-        if wt is None:
-            return None
-        v = [("a", 1)] + list(wt) + [("a", -1)]
-        cur = act_word(v, cur)
-        pieces.append(v)
-    return None
+    return cur
 
 
 def solve_pair(c1, c2):
     """A word mapping (c1, c2) to (central, ((0,1/2)))."""
+    return _pair(c1, c2, solve_to_center, solve_to_center_fixing_center)
+
+
+def _pair(c1, c2, to_center, fixing_center):
+    """solve_pair through the given single-component solvers."""
     c1, c2 = validate_path(c1), validate_path(c2)
     if c1 == c2:
         raise ValueError("components must be distinct")
-    w1 = solve_to_center(c1) if c1 else []
+    w1 = to_center(c1) if c1 else []
     if w1 is None:
         return None
-    c2m = act_word(w1, c2)
-    w2 = solve_to_center_fixing_center(c2m)
-    if w2 is None:
-        return None
-    return w2 + w1
+    w2 = fixing_center(act_word(w1, c2))
+    return None if w2 is None else w2 + w1
+
+
+class WordTable:
+    """The solver words of one report, each level solved once.
+
+    Maps every path a solver reaches to the number of levels and the
+    written word that remain from it, so a component whose first level
+    leaves a known path costs that level and a lookup.  Its words equal
+    those of solve_to_center, solve_to_center_fixing_center and
+    solve_pair, within the same level budgets.  Build one per report:
+    it keeps every path it meets.
+    """
+
+    def __init__(self):
+        self._tables = {}  # {solver: {path chain: (levels, word) or None}}
+
+    def to_center(self, path, gen_set="five"):
+        """solve_to_center(path, gen_set)."""
+        return self._word(gen_set, (), lambda cur: _center_level(cur, gen_set),
+                          CENTER_LEVELS, validate_path(path))
+
+    def to_center_fixing_center(self, path):
+        """solve_to_center_fixing_center(path)."""
+        return self._word("fixing", None, _fixing_level, FIXING_LEVELS,
+                          _off_center(path))
+
+    def pair(self, c1, c2):
+        """solve_pair(c1, c2)."""
+        return _pair(c1, c2, self.to_center, self.to_center_fixing_center)
+
+    def _word(self, solver, end, level, budget, path):
+        """The word of `path` under the solver whose one level is `level`
+        and which stops at `end` (a path, or None from _fixing_level).
+        Paths are keyed by their chains: a Fraction's hash is dear."""
+        table = self._tables.setdefault(solver, {end: (0, ())})
+        walk = []  # (chain, its level's written word) out to a known path
+        cur, key = path, path_chain(path)
+        while key not in table:
+            if len(walk) == budget:  # the solver's loop would end here
+                return None
+            step = level(cur)
+            if step is None:
+                table[key] = None
+                break
+            words, cur = step
+            walk.append((key, tuple(_flatten(words))))
+            key = cur if cur is None else path_chain(cur)
+        entry = table[key]
+        for key, w in reversed(walk):
+            if entry is not None:
+                n, rest = entry
+                entry = (n + 1, rest + w) if n < budget else None
+            table[key] = entry
+        return None if entry is None else list(entry[1])
 
 
 # --- transitivity reports ----------------------------------------------------
@@ -566,28 +657,37 @@ def ordered_pairs(items, sample=None, rng=None):
 def check_k_transitivity(k, gen_set="five", max_den=8, word_bound=30,
                          max_depth=2, sample=None, rng=None):
     """Check that ordered k-tuples of components map to a fixed
-    reference tuple within the word bound.  Returns a report dict."""
+    reference tuple within the word bound.  k=1 checks every component,
+    k=2 every ordered pair or `sample` of them drawn by rng.  Returns a
+    report dict."""
+    if k not in (1, 2):
+        raise ValueError("k must be 1 or 2")
+    if k == 1 and sample is not None:
+        raise ValueError("k=1 checks every component; sample is for k=2")
     comps = enumerate_components(max_den, max_depth)
+    n_pairs = len(comps) * (len(comps) - 1)
+    if sample is not None and not 1 <= sample <= n_pairs:
+        raise ValueError("sample must be between 1 and %d, the number of "
+                         "ordered pairs" % n_pairs)
+    table = WordTable()  # the solver's words for this report only
     failures = []
     checked = 0
     # each witness is re-applied on chains, apart from the act the solver ran
     if k == 1:
         for c in comps:
-            word = solve_to_center(c, gen_set)
+            word = table.to_center(c, gen_set)
             checked += 1
             if word is None or word_cost(word, gen_set) > word_bound \
                     or chain_act_word(word, path_chain(c)) != ():
                 failures.append(format_path(c))
-    elif k == 2:
+    else:
         for c1, c2 in ordered_pairs(comps, sample, rng):
-            word = solve_pair(c1, c2)
+            word = table.pair(c1, c2)
             checked += 1
             ok = (word is not None  # c2 to ((0, 1/2)), as a chain
                   and chain_act_word(word, path_chain(c1)) == ()
                   and chain_act_word(word, path_chain(c2)) == ((0, 1), (1, 2)))
             if not ok:
                 failures.append((format_path(c1), format_path(c2)))
-    else:
-        raise ValueError("k must be 1 or 2")
     return {"k": k, "generators": gen_set, "checked": checked,
             "failures": failures, "ok": not failures}

@@ -62,27 +62,19 @@ def _step(graph, s, t, d, i):
     return (color,) + _fresh_spans(tuple(graph.edges), low)[i] + (True,)
 
 
-def trail(system, addr):
-    """walk's (color, s, t, d, start) for every prefix of a cell's path,
-    the base cell first, from one walk down the path."""
-    base, path = addr
-    color = system.base.by_id[base][0]
-    s, t, d = CENTRAL.get(base, LINE)
-    start = 0
-    out = [(color, s, t, d, start)]
-    for k, i in enumerate(path, 1):
-        color, s, t, d, fresh = _step(system.rules[color].graph, s, t, d, i)
-        if fresh:
-            start = k
-        out.append((color, s, t, d, start))
-    return out
-
-
 def walk(system, addr):
     """(color, s, t, d, start) of a cell: its color, its (source, target)
     position (s/d, t/d), and the length of the path prefix that starts
     its line."""
-    return trail(system, addr)[-1]
+    base, path = addr
+    color = system.base.by_id[base][0]
+    s, t, d = CENTRAL.get(base, LINE)
+    start = 0
+    for k, i in enumerate(path, 1):
+        color, s, t, d, fresh = _step(system.rules[color].graph, s, t, d, i)
+        if fresh:
+            start = k
+    return color, s, t, d, start
 
 
 def leaf_positions(expansion):
@@ -120,17 +112,20 @@ def hang_chain(system, addr):
     a reduced (numerator, denominator) pair: where each line on the way
     hangs on the one before, ending with the cell's midpoint on its own
     line.  Every line on the way is started by a prefix of the cell's
-    path, so one walk gives every point."""
-    base, _ = addr
-    steps = trail(system, addr)
-    _, s, t, d, k = steps[-1]
-    out = [reduced(s + t, 2 * d)]
-    while k:  # the line started by the prefix of length k
-        _, s, t, d, k = steps[k - 1]
-        out.append(reduced(s + t, 2 * d))
-    if base not in CENTRAL:  # a base line hangs on the central circle
-        out.append(ATTACHED[base])
-    return out[::-1]
+    path, so one walk down it gives every point: a child that starts a
+    line hangs at its parent's midpoint."""
+    base, path = addr
+    color = system.base.by_id[base][0]
+    s, t, d = CENTRAL.get(base, LINE)
+    # a base line hangs on the central circle
+    out = [] if base in CENTRAL else [ATTACHED[base]]
+    for i in path:
+        color, s2, t2, d2, fresh = _step(system.rules[color].graph, s, t, d, i)
+        if fresh:
+            out.append(reduced(s + t, 2 * d))
+        s, t, d = s2, t2, d2
+    out.append(reduced(s + t, 2 * d))
+    return out
 
 
 def reduced(n, d):
@@ -145,12 +140,23 @@ def cell_at(system, points):
     point may be where a base line hangs (ATTACHED); any other is the
     midpoint of a cell of the current line, whose children that start a
     new line are the next.  No points: the first central arc."""
-    line, hung = _base_lines(system)
-    for k, (p, q) in enumerate(points):
-        if q & (q - 1):
-            raise ValueError("not dyadic: %s" % Fraction(p, q))
-        line = (not k and hung.get((p, q))) or _next_line(system, line, p, q)
-    return line[0][0]
+    line = None
+    for p, q in points:
+        line = line_after(system, line, p, q)
+    return (line or _base_lines(system)[0])[0][0]
+
+
+def line_after(system, line, p, q):
+    """cell_at's step: the line that the point p/q leads to from `line`,
+    the line the points before it reached (None if there are none).  A
+    descent can go on from the line of any prefix of its chain."""
+    if q & (q - 1):
+        raise ValueError("not dyadic: %s" % Fraction(p, q))
+    if line is None:
+        line, hung = _base_lines(system)
+        if (p, q) in hung:
+            return hung[p, q]
+    return _next_line(system, line, p, q)
 
 
 @functools.lru_cache(maxsize=16)

@@ -104,12 +104,17 @@ def _identified(chain):
     out = []
     for k in range(0, len(chain) - 1, 2):
         (tn, td), (_, ld) = chain[k], chain[k + 1]
-        # the first turn t is (1/2 - t) mod 1, a later one (1 - t) mod 1;
-        # each outward step along the ray is 1/2
-        out.append(geometry.reduced((td - 2 * tn) % (2 * td), 2 * td)
-                   if not k else geometry.reduced(-tn % td, td))
-        out.extend([(1, 2)] * (ld.bit_length() - 2))
+        out.append(_identified_turn(not k, tn, td))
+        out.extend([(1, 2)] * (ld.bit_length() - 2))  # 1/2 per step out
     return out
+
+
+def _identified_turn(first, tn, td):
+    """The Basilica angle of an Airplane turn t = tn/td, a reduced pair:
+    (1/2 - t) mod 1 for the first turn, (1 - t) mod 1 for a later one."""
+    if first:
+        return geometry.reduced((td - 2 * tn) % (2 * td), 2 * td)
+    return geometry.reduced(-tn % td, td)
 
 
 # --- the Basilica side -------------------------------------------------------
@@ -182,6 +187,47 @@ def truncated_vertices(depth, bound):
     return out
 
 
+def _located_vertices(depth, bound):
+    """(moves, chain, red cell, Basilica cell) of each vertex of
+    truncated_vertices(depth, bound), in its order, where the chain is
+    comp.path_chain of the vertex's path and the cells are the ones
+    cell_at finds for it on each side.  Each level comes from the one
+    before: a turn t appends t and the position 1/2 to the parent's
+    chain, INC advances its last position (2^k-1)/2^k to
+    (2^(k+1)-1)/2^(k+1), and each side's descent goes on from the
+    parent's line, one geometry.line_after per new point."""
+    turns = [Fraction(j, bound) for j in range(bound)]
+    inner = [INC] + [t for t in turns if t not in (0, HALF)]
+    step = geometry.line_after
+    # (moves, chain, Airplane line of the last turn, Airplane line,
+    # Basilica line); None for the lines of the root, before any point
+    level = [((), (), None, None, None)]
+    yield (), (), geometry.cell_at(AIRPLANE, ()), \
+        geometry.cell_at(BASILICA, ())
+    for left in range(depth - 1, -1, -1):
+        nxt = []
+        for moves, chain, turned, line, bline in level:
+            for m in (inner if moves else turns):
+                if m == INC:
+                    n, d = chain[-1]
+                    pos = (2 * n + 1, 2 * d)
+                    child = (moves + (m,), chain[:-1] + (pos,), turned,
+                             step(AIRPLANE, turned, *pos),
+                             step(BASILICA, bline, 1, 2))
+                else:
+                    t = (m.numerator, m.denominator)
+                    on_ray = step(AIRPLANE, line, *t)
+                    child = (moves + (m,), chain + (t, (1, 2)), on_ray,
+                             step(AIRPLANE, on_ray, 1, 2),
+                             step(BASILICA, bline,
+                                  *_identified_turn(not moves, *t)))
+                # as in cell_at, a cell is the first cell of its line
+                yield child[0], child[1], child[3][0][0], child[4][0][0]
+                if left:  # the last level has no children to build
+                    nxt.append(child)
+        level = nxt
+
+
 def intertwine_check(depth, branch_denominator_bound, pairing=None):
     """Check on the truncated trees that each paired generator acts the
     same way on both sides of the identification.  Returns a report."""
@@ -198,11 +244,8 @@ def intertwine_check(depth, branch_denominator_bound, pairing=None):
                  evaluate_word(bt, [(bname, 1)])) for aname, bname in pairs]
     mismatches = []
     checked = 0
-    for moves in truncated_vertices(depth, bound):
-        # each vertex is located once on each side, not once per pair
-        chain = comp.path_chain(vertex_to_path(moves_to_vertex(moves)))
-        red = geometry.cell_at(AIRPLANE, chain)
-        cell = geometry.cell_at(BASILICA, _identified(chain))
+    # each vertex is located once on each side, not once per pair
+    for moves, _, red, cell in _located_vertices(depth, bound):
         for aname, bname, f, g in diagrams:
             checked += 1
             left = _identified_image(f, red)

@@ -1,0 +1,74 @@
+"""Reference reports, kept apart from the per-report work that airframe
+shares between tree nodes: every component is solved alone by the
+standalone solvers and its witness re-applied with the Fraction action,
+and every tree vertex is located from the center through its path and
+identify, with its images read back as Fractions.  Tests compare the
+library's transitivity and intertwine reports against these."""
+
+from fractions import Fraction
+
+from airframe import components as comp, geometry, trees
+from airframe.diagram import evaluate_word
+from airframe.systems import airplane_generators, basilica_generators
+
+CENTER, TO_RAY = (), ((Fraction(0), Fraction(1, 2)),)
+
+
+def check_k_transitivity(k, gen_set="five", max_den=8, word_bound=30,
+                         max_depth=2, sample=None, rng=None):
+    """components.check_k_transitivity, one standalone solve per tuple."""
+    comps = comp.enumerate_components(max_den, max_depth)
+    failures = []
+    checked = 0
+    if k == 1:
+        for c in comps:
+            word = comp.solve_to_center(c, gen_set)
+            checked += 1
+            if word is None or comp.word_cost(word, gen_set) > word_bound \
+                    or comp.act_word(word, c) != CENTER:
+                failures.append(comp.format_path(c))
+    else:
+        for c1, c2 in comp.ordered_pairs(comps, sample, rng):
+            word = comp.solve_pair(c1, c2)
+            checked += 1
+            if word is None or comp.act_word(word, c1) != CENTER \
+                    or comp.act_word(word, c2) != TO_RAY:
+                failures.append((comp.format_path(c1), comp.format_path(c2)))
+    return {"k": k, "generators": gen_set, "checked": checked,
+            "failures": failures, "ok": not failures}
+
+
+def located(moves):
+    """The Airplane red cell and the Basilica cell of a vertex, each
+    found from the center: the red cell through the vertex's component
+    path, the Basilica cell through identify."""
+    red = comp.red_cell(trees.vertex_to_path(trees.moves_to_vertex(moves)))
+    cell = geometry.cell_at(trees.BASILICA, [
+        (x.numerator, x.denominator) for x in trees.identify(moves)])
+    return red, cell
+
+
+def intertwine_check(depth, bound, pairing=None):
+    """trees.intertwine_check, each vertex located from the center."""
+    at, bt = airplane_generators(), basilica_generators()
+    mismatches = []
+    checked = 0
+    for moves in trees.truncated_vertices(depth, bound):
+        red, cell = located(moves)
+        for aname, bname in pairing or trees.CANONICAL_PAIRING:
+            f = evaluate_word(at, [(aname, 1)])
+            g = evaluate_word(bt, [(bname, 1)])
+            checked += 1
+            left = trees.identify(trees.vertex_moves(
+                trees._airplane_image(f, red)))
+            right = trees.basilica_vertex(g.leaf_image(cell))
+            if left != right:
+                mismatches.append({
+                    "vertex": [str(m) for m in moves],
+                    "pair": "%s~%s" % (aname, bname),
+                    "airplane_image": [str(x) for x in left],
+                    "basilica_image": [str(x) for x in right],
+                })
+    return {"depth": depth, "bound": bound,
+            "checked": checked, "mismatches": mismatches,
+            "ok": not mismatches}

@@ -111,6 +111,15 @@ def test_intertwine(capsys):
     # Fraction would build 10**10000000 before any check saw it
     (["orbit", "(1e-10000000,1/2)", "central"],
      "bad coordinate '1e-10000000': no exponent notation"),
+    # a sample must draw at least one of the ordered pairs, at most all
+    (["transitivity", "--k", "1", "--sample", "5", "--depth-bound", "1"],
+     "k=1 checks every component; sample is for k=2"),
+    (["transitivity", "--k", "2", "--sample", "0", "--depth-bound", "1"],
+     "sample must be between 1 and 6, the number of ordered pairs"),
+    (["transitivity", "--k", "2", "--sample", "-3", "--depth-bound", "1"],
+     "sample must be between 1 and 6, the number of ordered pairs"),
+    (["transitivity", "--k", "2", "--sample", "7", "--depth-bound", "1"],
+     "sample must be between 1 and 6, the number of ordered pairs"),
 ])
 def test_vacuous_arguments_fail_cleanly(capsys, argv, message):
     start = time.perf_counter()

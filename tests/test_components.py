@@ -8,6 +8,8 @@ from airframe import components as comp
 from airframe.diagram import evaluate_word
 from airframe.systems import airplane_generators
 
+import reference_reports as reference
+
 F = Fraction
 H = F(1, 2)
 
@@ -211,21 +213,129 @@ def test_pair_solver():
 
 
 def test_witness_check_is_live(monkeypatch):
-    """A solver word short of one letter fails the transitivity check."""
+    """A solver word short of one letter fails the transitivity check.
+    The reports take their words from a WordTable, so that is where the
+    letter is dropped."""
     rng = random.Random(3)
     assert comp.check_k_transitivity(1, "five", 4)["ok"]
     assert comp.check_k_transitivity(2, "five", 4, sample=20, rng=rng)["ok"]
-    solve, pair = comp.solve_to_center, comp.solve_pair
-    monkeypatch.setattr(comp, "solve_to_center",
-                        lambda c, gen_set="five": solve(c, gen_set)[1:])
+    to_center, pair = comp.WordTable.to_center, comp.WordTable.pair
+    monkeypatch.setattr(comp.WordTable, "to_center",
+                        lambda self, c, gen_set="five":
+                        to_center(self, c, gen_set)[1:])
     rep = comp.check_k_transitivity(1, "five", 4)
     assert rep["failures"] == [comp.format_path(c) for c in
                                comp.enumerate_components(4, 2)[1:]]
-    monkeypatch.setattr(comp, "solve_to_center", solve)
-    monkeypatch.setattr(comp, "solve_pair",
-                        lambda c1, c2: pair(c1, c2)[1:])
+    monkeypatch.setattr(comp.WordTable, "to_center", to_center)
+    monkeypatch.setattr(comp.WordTable, "pair",
+                        lambda self, c1, c2: pair(self, c1, c2)[1:])
     rep = comp.check_k_transitivity(2, "five", 4, sample=20, rng=rng)
     assert len(rep["failures"]) == 20
+
+
+@pytest.mark.parametrize("max_den, max_depth", [(4, 2), (8, 1)])
+@pytest.mark.parametrize("gen_set", ["five", "commutator"])
+def test_word_table_gives_the_standalone_words(max_den, max_depth, gen_set):
+    """Every component's tabled word is the standalone solver's, in
+    enumeration order (depth-1 paths known first) and in reverse."""
+    comps = comp.enumerate_components(max_den, max_depth)
+    alone = [comp.solve_to_center(c, gen_set) for c in comps]
+    for order in (comps, comps[::-1]):
+        words = comp.WordTable()
+        assert {c: words.to_center(c, gen_set) for c in order} \
+            == dict(zip(comps, alone))
+    words = comp.WordTable()
+    for c in comps[:0:-1]:
+        assert words.to_center_fixing_center(c) \
+            == comp.solve_to_center_fixing_center(c)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_word_table_gives_the_standalone_pair_words(seed):
+    comps = comp.enumerate_components(4, 2)
+    words = comp.WordTable()
+    for c1, c2 in comp.ordered_pairs(comps, 40, random.Random(seed)):
+        assert words.pair(c1, c2) == comp.solve_pair(c1, c2)
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+def test_word_table_keeps_the_level_budgets(monkeypatch, levels):
+    """With budgets of one or two levels, a depth-2 component is out of
+    reach or just within it, whether or not the path its first level
+    leaves is already in the table."""
+    monkeypatch.setattr(comp, "CENTER_LEVELS", levels)
+    monkeypatch.setattr(comp, "FIXING_LEVELS", levels)
+    comps = comp.enumerate_components(4, 2)
+    alone = [comp.solve_to_center(c) for c in comps]
+    fixing = [comp.solve_to_center_fixing_center(c) for c in comps[1:]]
+    assert (None in alone) == (levels == 1) == (None in fixing)
+    for order in (comps, comps[::-1]):
+        words = comp.WordTable()
+        assert {c: words.to_center(c) for c in order} \
+            == dict(zip(comps, alone))
+        words = comp.WordTable()
+        assert {c: words.to_center_fixing_center(c) for c in order if c} \
+            == dict(zip(comps[1:], fixing))
+
+
+def test_report_words_are_the_standalone_words(monkeypatch):
+    """The words each report checks, recorded as the table hands them
+    out, equal the standalone solver's."""
+    seen = []
+    to_center, pair = comp.WordTable.to_center, comp.WordTable.pair
+
+    def spy_to_center(self, c, gen_set="five"):
+        word = to_center(self, c, gen_set)
+        seen.append((word, comp.solve_to_center(c, gen_set)))
+        return word
+
+    def spy_pair(self, c1, c2):
+        word = pair(self, c1, c2)
+        seen.append((word, comp.solve_pair(c1, c2)))
+        return word
+    monkeypatch.setattr(comp.WordTable, "to_center", spy_to_center)
+    monkeypatch.setattr(comp.WordTable, "pair", spy_pair)
+    for gen_set in ("five", "commutator"):
+        comp.check_k_transitivity(1, gen_set, 4)
+    for seed in range(3):
+        comp.check_k_transitivity(2, "five", 4, sample=20,
+                                  rng=random.Random(seed))
+    # pair words call to_center for their first component
+    assert len(seen) >= 2 * 85 + 3 * 20
+    assert all(word == alone for word, alone in seen)
+
+
+@pytest.mark.parametrize("k, gen_set, word_bound", [
+    (1, "five", 30), (1, "commutator", 30), (1, "five", 6), (2, "five", 30)])
+def test_reports_equal_the_per_component_reference(k, gen_set, word_bound):
+    """check_k_transitivity at denominator 4 and depth 2 against a loop
+    that solves each tuple alone and checks it with the Fraction act; a
+    word bound of 6 fails the 40 components whose words cost 7 or 8."""
+    kw = {"sample": 40} if k == 2 else {}
+    rep = comp.check_k_transitivity(k, gen_set, 4, word_bound,
+                                    rng=random.Random(7), **kw)
+    assert len(rep["failures"]) == (40 if word_bound == 6 else 0)
+    assert rep == reference.check_k_transitivity(
+        k, gen_set, 4, word_bound, rng=random.Random(7), **kw)
+
+
+@pytest.mark.parametrize("k, sample, message", [
+    (1, 5, "k=1 checks every component; sample is for k=2"),
+    (2, 0, "sample must be between 1 and 6, the number of ordered pairs"),
+    (2, -1, "sample must be between 1 and 6, the number of ordered pairs"),
+    (2, 7, "sample must be between 1 and 6, the number of ordered pairs"),
+    (3, None, "k must be 1 or 2"),
+])
+def test_vacuous_samples_are_rejected(k, sample, message):
+    with pytest.raises(ValueError, match=message):
+        comp.check_k_transitivity(k, "five", 2, sample=sample,
+                                  rng=random.Random(0))
+
+
+def test_a_full_sample_checks_every_pair():
+    rep = comp.check_k_transitivity(2, "five", 2, sample=6,
+                                    rng=random.Random(0))
+    assert rep["ok"] and rep["checked"] == 6
 
 
 def test_enumeration_counts():

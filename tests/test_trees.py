@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from airframe import trees
 from airframe.diagram import evaluate_word
 
+import reference_reports as reference
+
 F = Fraction
 H = F(1, 2)
 
@@ -246,3 +248,27 @@ def test_integer_image_fails_as_the_fraction_one(gens, word):
             assert tuple(F(n, d) for n, d in new) == \
                 trees.identify(trees.vertex_moves(old))
     assert failures
+
+
+# --- the vertex walk against the route from the center ---------------------
+
+@pytest.mark.parametrize("depth, bound", [(2, 8), (3, 4), (3, 1)])
+def test_vertex_walk_locates_as_the_route_from_the_center(depth, bound):
+    """Each walked vertex carries its chain and both cells as the
+    center-out route finds them, in truncated_vertices order."""
+    walked = list(trees._located_vertices(depth, bound))
+    assert [moves for moves, _, _, _ in walked] == vertices(depth, bound)
+    for moves, chain, red, cell in walked:
+        assert chain == chain_of(moves)
+        assert (red, cell) == located(moves)
+
+
+@pytest.mark.parametrize("depth, bound", [(1, 4), (2, 8)])
+@pytest.mark.parametrize("pairing", [None, SWAPPED])
+def test_intertwine_reports_equal_the_per_vertex_reference(depth, bound,
+                                                           pairing):
+    """The swapped pairing reports the same mismatches as a loop that
+    locates each vertex from the center and reads images as Fractions."""
+    rep = trees.intertwine_check(depth, bound, pairing)
+    assert rep == reference.intertwine_check(depth, bound, pairing)
+    assert rep["ok"] == (pairing is None)
