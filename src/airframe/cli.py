@@ -117,6 +117,9 @@ def cmd_orbit(args):
 def cmd_transitivity(args):
     if args.depth_bound < 0:
         raise ValueError("--depth-bound must be at least 0")
+    if args.k == 2 and args.word_bound is not None:
+        raise ValueError("--word-bound bounds the words of --k 1; pair "
+                         "words are not bounded")
     # the count grows with the bound, so 64 stands for any larger bound
     if _component_count(min(args.depth_bound, 64)) > MAX_SEARCH:
         raise ValueError("--depth-bound %d enumerates more than %d "
@@ -130,10 +133,10 @@ def cmd_transitivity(args):
                              "more than %d; pass --sample"
                              % (args.depth_bound, n * (n - 1), MAX_SEARCH))
     rng = random.Random(args.seed)
+    bound = {} if args.word_bound is None else {"word_bound": args.word_bound}
     rep = components.check_k_transitivity(
         args.k, gen_set=args.generators, max_den=2 ** args.depth_bound,
-        word_bound=args.word_bound,
-        sample=args.sample, rng=rng)
+        sample=args.sample, rng=rng, **bound)
     _emit(args, rep, "k=%d over %s generators: %d tuples checked, %d failures"
           % (rep["k"], rep["generators"], rep["checked"],
              len(rep["failures"])))
@@ -283,9 +286,9 @@ def build_parser():
              help="k-transitivity check on components")
     sp.add_argument("--k", type=int, default=1, choices=[1, 2])
     sp.add_argument("--depth-bound", type=int, default=3)
-    sp.add_argument("--word-bound", type=int, default=30)
+    sp.add_argument("--word-bound", type=int, help="for --k 1 only")
     sp.add_argument("--generators", default="five",
-                    choices=["five", "commutator"])
+                    choices=components.GEN_SETS)
     sp.add_argument("--sample", type=int, default=None)
     sp.add_argument("--seed", type=int, default=0)
 

@@ -190,16 +190,15 @@ def act_word(word, path):
 def _chain_maps():
     """{(name, sign): (circle, D, starts, lines)}: the maps of
     _generator_maps() in integers.  A piece's left end x0 is held as
-    x0 * D, for D the largest denominator among them, and at x = n/d
-    its line gives y = (a n + b d) / (c d) for its (a, b, c)."""
+    x0 * D, for D the largest denominator among them, and its line as
+    PLMap.pieces() gives it: (a, b, c) takes n/d to (a n + b d) / (c d)."""
     out = {}
     for key, h in _generator_maps().items():
         x0s, lines = zip(*h.pieces())
         D = max(x.denominator for x in x0s)
         out[key] = (h.circle, D,
                     tuple(x.numerator * (D // x.denominator) for x in x0s),
-                    tuple((mn * cd, cn * md, cd * md)
-                          for cn, cd, mn, md in lines))
+                    lines)
     return out
 
 
@@ -399,6 +398,16 @@ COMMUTATOR_SYMBOLS = (
 )
 
 
+GEN_SETS = ("five", "commutator")
+
+
+def _check_gen_set(gen_set):
+    """ValueError unless gen_set names one of GEN_SETS."""
+    if gen_set not in GEN_SETS:
+        raise ValueError("unknown generator set %r: use 'five' or "
+                         "'commutator'" % (gen_set,))
+
+
 # The move words of each solver kind (see _bfs_word) in the order the
 # search tries them, which breaks its ties between equally short words.
 _MOVES = {
@@ -424,6 +433,7 @@ def _value_fn(word, angle):
 
 def word_cost(word, gen_set):
     """Symbol count; commutator generators count as one symbol each."""
+    _check_gen_set(gen_set)
     if gen_set == "five":
         return len(word)
     cost = 0
@@ -512,6 +522,7 @@ def solve_to_center(path, gen_set="five"):
     gen_set: "five" for alpha..epsilon, "commutator" for the
     commutator-subgroup generating set.
     """
+    _check_gen_set(gen_set)
     cur = validate_path(path)
     pieces = []  # words in application order
     for _ in range(CENTER_LEVELS):
@@ -581,6 +592,7 @@ class WordTable:
 
     def to_center(self, path, gen_set="five"):
         """solve_to_center(path, gen_set)."""
+        _check_gen_set(gen_set)
         return self._word(gen_set, (), lambda cur: _center_level(cur, gen_set),
                           CENTER_LEVELS, validate_path(path))
 
@@ -657,14 +669,20 @@ def ordered_pairs(items, sample=None, rng=None):
 def check_k_transitivity(k, gen_set="five", max_den=8, word_bound=30,
                          max_depth=2, sample=None, rng=None):
     """Check that ordered k-tuples of components map to a fixed
-    reference tuple within the word bound.  k=1 checks every component,
-    k=2 every ordered pair or `sample` of them drawn by rng.  Returns a
-    report dict."""
+    reference tuple.  k=1 checks every component, with words of cost at
+    most word_bound; k=2 every ordered pair or `sample` of them drawn by
+    rng, whose words are not bounded.  Returns a report dict."""
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
+    _check_gen_set(gen_set)
+    if word_bound < 0:
+        raise ValueError("word_bound must be at least 0")
     if k == 1 and sample is not None:
         raise ValueError("k=1 checks every component; sample is for k=2")
     comps = enumerate_components(max_den, max_depth)
+    if k == 2 and len(comps) < 2:
+        raise ValueError("k=2 needs at least two components; there is "
+                         "only the central one")
     n_pairs = len(comps) * (len(comps) - 1)
     if sample is not None and not 1 <= sample <= n_pairs:
         raise ValueError("sample must be between 1 and %d, the number of "

@@ -243,34 +243,44 @@ SYSTEM_BUILDERS = {
 class PLMap:
     """A piecewise linear homeomorphism of [0,1] or of the circle R/Z.
 
-    Stored as breakpoints [(x, y), ...] with strictly increasing x.
-    Interval maps fix 0 and 1.  Circle maps are increasing of degree
-    one; breakpoints use representatives in [0,1).
+    Stored in canonical form, so equal maps compare equal: breakpoints
+    [(x, y), ...] with strictly increasing x, one exactly where the
+    slope changes.  Interval maps fix 0 and 1 and keep both ends.
+    Circle maps are increasing of degree one, with breakpoints at
+    representatives in [0,1); a rotation, which has no change of slope,
+    is stored as the single point (0, y).
     """
 
     def __init__(self, breaks, circle=False):
         self.circle = circle
-        breaks = [(Fraction(x), Fraction(y)) for x, y in breaks]
-        breaks.sort()
-        if circle:
-            breaks = [(x % 1, y % 1) for x, y in breaks]
-            breaks.sort()
-        else:
-            if not breaks or breaks[0] != (0, 0) or breaks[-1] != (1, 1):
-                raise ValueError("interval map must fix 0 and 1")
-        xs = [x for x, _ in breaks]
-        if len(set(xs)) != len(xs):
+        pts = sorted((Fraction(x) % 1, Fraction(y) % 1) if circle
+                     else (Fraction(x), Fraction(y)) for x, y in breaks)
+        if not circle and (not pts or pts[0] != (0, 0) or pts[-1] != (1, 1)):
+            raise ValueError("interval map must fix 0 and 1")
+        if len({x for x, _ in pts}) != len(pts):
             raise ValueError("duplicate breakpoint")
-        if not circle:
-            ys = [y for _, y in breaks]
-            if any(y1 <= y0 for y0, y1 in zip(ys, ys[1:])):
-                raise ValueError("not increasing")
+        if circle:
+            # a point's neighbours over one period of the lift: the last
+            # point one period back, the first one period on
+            lift = self._lift(pts)  # raises unless increasing of degree one
+            (xl, yl), (xf, yf) = lift[-1], lift[0]
+            nbrs = [(xl - 1, yl - 1)] + lift + [(xf + 1, yf + 1)]
         else:
-            self._lift(breaks)  # raises unless increasing of degree one
-        self.breaks = self._canonical(breaks)
+            if any(y1 <= y0 for (_, y0), (_, y1) in zip(pts, pts[1:])):
+                raise ValueError("not increasing")
+            nbrs = [None] + pts + [None]  # an interval map keeps its ends
+        self.breaks = []
+        for p, u, (x, y), w in zip(pts, nbrs, nbrs[1:], nbrs[2:]):
+            # a point stays exactly where the slopes on its two sides differ
+            if u is None or w is None \
+                    or (y - u[1]) * (w[0] - x) != (w[1] - y) * (x - u[0]):
+                self.breaks.append(p)
+        if not self.breaks:  # a circle map of one slope is a rotation
+            x, y = pts[0]
+            self.breaks = [(Fraction(0), (y - x) % 1)]
         # the pieces, over one period of the lift for a circle map: their
-        # left ends, which __call__ bisects, and their lines y = c + m x
-        # as integer ratios (cn, cd, mn, md), so a call builds one Fraction
+        # left ends, which __call__ bisects, and their lines as integer
+        # triples (a, b, c), which take n/d to (a n + b d) / (c d)
         pts = self.breaks
         if circle:
             pts = self._lift(pts)
@@ -279,41 +289,9 @@ class PLMap:
         self._lines = []
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
             m = (y1 - y0) / (x1 - x0)
-            self._lines.append((y0 - m * x0).as_integer_ratio()
-                               + m.as_integer_ratio())
-
-    def _canonical(self, breaks):
-        if not self.circle:
-            out = [breaks[0]]
-            for i in range(1, len(breaks) - 1):
-                x0, y0 = out[-1]
-                x1, y1 = breaks[i]
-                x2, y2 = breaks[i + 1]
-                if (y1 - y0) * (x2 - x1) != (y2 - y1) * (x1 - x0):
-                    out.append(breaks[i])
-            out.append(breaks[-1])
-            return out
-        # circle: lift y cyclically, drop breakpoints where slope is smooth
-        n = len(breaks)
-        if n == 1:
-            return breaks
-        lift = self._lift(breaks)
-        out = []
-        for i in range(n):
-            x0, y0 = lift[i - 1]
-            x1, y1 = lift[i]
-            x2, y2 = lift[(i + 1) % n]
-            if i == 0:
-                x0, y0 = x0 - 1, y0 - 1
-            if (i + 1) % n == 0:
-                x2, y2 = x2 + 1, y2 + 1
-            if (y1 - y0) * (x2 - x1) != (y2 - y1) * (x1 - x0):
-                out.append(breaks[i])
-        if not out:
-            # a pure rotation; keep a single anchor at 0
-            x, y = breaks[0]
-            return [(Fraction(0), (y - x) % 1)]
-        return out
+            mn, md = m.as_integer_ratio()
+            qn, qd = (y0 - m * x0).as_integer_ratio()
+            self._lines.append((mn * qd, qn * md, md * qd))
 
     @staticmethod
     def _lift(breaks):
@@ -336,14 +314,14 @@ class PLMap:
                 x += 1
         elif not 0 <= x <= 1:
             raise ValueError("out of domain: %s" % x)
-        cn, cd, mn, md = self._lines[bisect_right(self._x0s, x) - 1]
+        a, b, c = self._lines[bisect_right(self._x0s, x) - 1]
         n, d = x.as_integer_ratio()
-        num, den = cn * md * d + mn * n * cd, cd * md * d
+        num, den = a * n + b * d, c * d
         return Fraction(num % den if self.circle else num, den)
 
     def pieces(self):
-        """(left end, (cn, cd, mn, md)) of each piece, whose line is
-        y = cn/cd + (mn/md) x; over one period of the lift for a circle
+        """(left end, (a, b, c)) of each piece, whose line takes n/d to
+        (a n + b d) / (c d); over one period of the lift for a circle
         map, whose first piece may start past 0."""
         return list(zip(self._x0s, self._lines))
 
@@ -354,12 +332,8 @@ class PLMap:
         xs = set(x for x, _ in other.breaks)
         inv = other.invert()
         xs.update(inv(x) for x, _ in self.breaks)
-        breaks = [(x, self(other(x))) for x in sorted(xs)]
-        if not self.circle:
-            breaks = [(Fraction(0), Fraction(0))] + \
-                [b for b in breaks if 0 < b[0] < 1] + \
-                [(Fraction(1), Fraction(1))]
-        return PLMap(breaks, circle=self.circle)
+        return PLMap([(x, self(other(x))) for x in sorted(xs)],
+                     circle=self.circle)
 
     def invert(self):
         return PLMap([(y, x) for x, y in self.breaks], circle=self.circle)
@@ -369,13 +343,9 @@ class PLMap:
                 and self.breaks == other.breaks)
 
     def is_identity(self):
-        if self.circle:
-            return self.breaks == [(Fraction(0), Fraction(0))]
-        return self.breaks == [(Fraction(0), Fraction(0)),
-                               (Fraction(1), Fraction(1))]
+        return self.breaks == ([(0, 0)] if self.circle else [(0, 0), (1, 1)])
 
     def __repr__(self):
         kind = "circle" if self.circle else "interval"
         pts = ", ".join("(%s, %s)" % (x, y) for x, y in self.breaks)
         return "PLMap[%s: %s]" % (kind, pts)
-

@@ -68,6 +68,17 @@ def test_orbit_zero_denominator_fails_cleanly(capsys):
     assert err.startswith("error: zero denominator")
 
 
+def test_word_bound_applies_to_k_1(capsys):
+    code, out, _ = run(capsys, "transitivity", "--word-bound", "30",
+                       "--depth-bound", "1", "--json")
+    assert code == 0 and json.loads(out)["checked"] == 3
+    # only the central component has a word of cost 0
+    code, out, _ = run(capsys, "transitivity", "--word-bound", "0",
+                       "--depth-bound", "1", "--json")
+    assert code == 2
+    assert json.loads(out)["failures"] == ["(0,1/2)", "(1/2,1/2)"]
+
+
 def test_negative_depth_bound_fails_cleanly(capsys):
     code, _, err = run(capsys, "transitivity", "--depth-bound", "-1")
     assert code == 1
@@ -120,6 +131,19 @@ def test_intertwine(capsys):
      "sample must be between 1 and 6, the number of ordered pairs"),
     (["transitivity", "--k", "2", "--sample", "7", "--depth-bound", "1"],
      "sample must be between 1 and 6, the number of ordered pairs"),
+    # the central component alone makes no pair
+    (["transitivity", "--k", "2", "--depth-bound", "0"],
+     "k=2 needs at least two components; there is only the central one"),
+    (["transitivity", "--k", "2", "--depth-bound", "0", "--sample", "1"],
+     "k=2 needs at least two components; there is only the central one"),
+    (["transitivity", "--word-bound", "-1", "--depth-bound", "1"],
+     "word_bound must be at least 0"),
+    # pair words are never bounded, so a bound given with --k 2 is refused
+    (["transitivity", "--k", "2", "--word-bound", "-5", "--depth-bound", "1"],
+     "--word-bound bounds the words of --k 1; pair words are not bounded"),
+    (["transitivity", "--k", "2", "--word-bound", "30", "--sample", "3",
+      "--depth-bound", "1"],
+     "--word-bound bounds the words of --k 1; pair words are not bounded"),
 ])
 def test_vacuous_arguments_fail_cleanly(capsys, argv, message):
     start = time.perf_counter()

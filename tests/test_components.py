@@ -332,6 +332,35 @@ def test_vacuous_samples_are_rejected(k, sample, message):
                                   rng=random.Random(0))
 
 
+def test_vacuous_bounds_are_rejected():
+    with pytest.raises(ValueError, match="word_bound must be at least 0"):
+        comp.check_k_transitivity(1, "five", 2, word_bound=-1)
+    with pytest.raises(ValueError, match="word_bound must be at least 0"):
+        comp.check_k_transitivity(2, "five", 2, word_bound=-5)
+    # denominator 1, or depth 0, enumerates the central component alone
+    for max_den, max_depth in ((1, 2), (4, 0)):
+        with pytest.raises(ValueError, match="k=2 needs at least two "
+                           "components; there is only the central one"):
+            comp.check_k_transitivity(2, "five", max_den, max_depth=max_depth,
+                                      sample=1, rng=random.Random(0))
+    assert comp.check_k_transitivity(1, "five", 1)["checked"] == 1
+
+
+@pytest.mark.parametrize("gen_set", ["theta", "stab", "foo", "fixing"])
+def test_unknown_generator_sets_are_rejected(gen_set):
+    """Only "five" and "commutator" are generator sets; the solver's
+    other move kinds and table keys are not."""
+    p = ((F(1, 4), H),)
+    for call in (lambda: comp.check_k_transitivity(1, gen_set, 2),
+                 lambda: comp.solve_to_center(p, gen_set),
+                 lambda: comp.solve_to_center((), gen_set),
+                 lambda: comp.WordTable().to_center(p, gen_set),
+                 lambda: comp.word_cost([("a", 1)], gen_set)):
+        with pytest.raises(ValueError, match="unknown generator set %r: "
+                           "use 'five' or 'commutator'" % gen_set):
+            call()
+
+
 def test_a_full_sample_checks_every_pair():
     rep = comp.check_k_transitivity(2, "five", 2, sample=6,
                                     rng=random.Random(0))

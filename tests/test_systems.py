@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from airframe.diagram import commutator, evaluate_word
 from airframe.systems import PLMap, circle_generators, interval_generators
@@ -90,3 +92,67 @@ def test_circle_plmap_rotation():
     assert r(F(1, 4)) == F(3, 4)
     assert r.compose(r).is_identity()
     assert not r.is_identity()
+
+
+def test_circle_plmap_of_one_slope_is_a_rotation():
+    assert PLMap([(F(1, 4), F(1, 4))], circle=True).is_identity()
+    assert PLMap([(F(3, 4), F(1, 4))], circle=True).breaks == [(0, H)]
+    half_turn = PLMap([(0, H)], circle=True)
+    assert half_turn.invert() == half_turn
+    assert half_turn.invert().breaks == [(0, H)]
+
+
+def dyadic_points(rng, circle):
+    """Seeded breakpoints of an increasing dyadic map: sorted x, and y
+    sorted then turned cyclically for a circle map, which gives degree
+    one; an interval map gets its ends."""
+    den = 2 ** rng.randint(1, 5)
+    lo = 0 if circle else 1
+    grid = [F(k, den) for k in range(lo, den)]
+    n = rng.randint(1, min(6, len(grid)))
+    xs, ys = sorted(rng.sample(grid, n)), sorted(rng.sample(grid, n))
+    if circle:
+        turn = rng.randrange(n)
+        return list(zip(xs, ys[turn:] + ys[:turn]))
+    return [(F(0), F(0))] + list(zip(xs, ys)) + [(F(1), F(1))]
+
+
+def interpolate(points, circle, x):
+    """The map through `points` at x, read off the segment between the
+    two points around x; a circle map's y is lifted to increase, and its
+    last point is repeated one period back and its first one on."""
+    if circle:
+        lifted = []
+        for px, py in points:
+            while lifted and py <= lifted[-1][1]:
+                py += 1
+            lifted.append((px, py))
+        (lx, ly), (fx, fy) = lifted[-1], lifted[0]
+        points = [(lx - 1, ly - 1)] + lifted + [(fx + 1, fy + 1)]
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if x0 <= x <= x1:
+            y = y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+            return y % 1 if circle else y
+
+
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, st.booleans())
+def test_plmap_canonical_form(seed, circle):
+    rng = random.Random(seed)
+    points = dyadic_points(rng, circle)
+    f = PLMap(points, circle=circle)
+    assert f.invert().invert() == f
+    assert f.compose(f.invert()).is_identity()
+    assert f.invert().compose(f).is_identity()
+    # any point of f's own graph adds no breakpoint
+    for _ in range(4):
+        x = F(rng.randrange(0 if circle else 1, 64), 64)
+        if all(x != bx for bx, _ in f.breaks):
+            assert PLMap(f.breaks + [(x, f(x))], circle=circle).breaks \
+                == f.breaks
+    for _ in range(8):
+        x = F(rng.randrange(0, 256 if circle else 257), 256)
+        assert f(x) == interpolate(points, circle, x)
