@@ -1,11 +1,13 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 usage or parse error, 2 invariant failure.
+Exit codes: 0 success, 1 usage or parse error (or a reader that closed
+the output early), 2 invariant failure.
 """
 
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 
@@ -47,7 +49,8 @@ def _word_diagram(src, system="airplane"):
     table = _tables()[system]
     parser = words.Parser(src)
     expr = parser.parse()
-    for tok, pos in parser.toks:  # the parser's tokens, not a second scan
+    # the parser's tokens, not a second scan; the last is its sentinel
+    for tok, pos in parser.toks[:-1]:
         name = LONG_NAMES.get(tok, tok)
         if tok[0].isalpha() and name not in table:
             raise WordSyntaxError("unknown generator %r for system %s"
@@ -117,6 +120,9 @@ def cmd_orbit(args):
 def cmd_transitivity(args):
     if args.depth_bound < 0:
         raise ValueError("--depth-bound must be at least 0")
+    if args.k == 1 and args.depth_bound == 0:
+        raise ValueError("--depth-bound 0 enumerates only the central "
+                         "component, whose word is empty; k=1 checks nothing")
     if args.k == 2 and args.word_bound is not None:
         raise ValueError("--word-bound bounds the words of --k 1; pair "
                          "words are not bounded")
@@ -318,7 +324,13 @@ def main(argv=None):
         print("error: %s" % ex, file=sys.stderr)
         return 1
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:  # as in `airframe check --json | head -n 1`
+        # stdout goes to devnull, so the flush at exit is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (WordSyntaxError, UsageError, ValueError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 1

@@ -22,36 +22,37 @@ def format_address(addr):
     return base + "." + "-".join(map(str, path))
 
 
+# the text a child index adds to its parent's string: after a base edge
+# (".i") or after a deeper cell ("-i"), for the indices of small rules
+_SUFFIXES = tuple(tuple(sep + str(i) for i in range(10)) for sep in ".-")
+
+
 def speller():
-    """format_address with a memo: a cell's string is its parent's string
-    plus one child index, so spelling the leaves of a tree spells each of
-    its cells once, however many addresses pass through it.  Loops, not
-    recursion: trees can be thousands of levels deep."""
+    """format_address with a memo of the cells above the addresses
+    spelled: an address is its parent's string plus one child index, so
+    spelling the leaves of a tree spells each internal cell once and
+    stores no leaf.  Loops, not recursion: trees can be thousands of
+    levels deep."""
     memo = {}
 
     def spell(addr):
-        s = memo.get(addr)
-        if s is not None:
-            return s
         base, path = addr
-        n = k = len(path)
-        if n:
-            k -= 1
-            s = memo.get((base, path[:k]))
-            if s is not None:  # the usual case: the parent is spelled
-                s = memo[addr] = s + ("-" if n > 1 else ".") + str(path[-1])
-                return s
-        while k:  # up to the deepest spelled ancestor
-            k -= 1
-            s = memo.get((base, path[:k]))
-            if s is not None:
-                break
+        k = len(path) - 1  # the parent is (base, path[:k])
+        if k < 0:
+            return base
+        s = memo.get((base, path[:k])) if k else base
         if s is None:
-            s = memo[base, ()] = base
-        for k in range(k, n):
-            s += ("-" if k else ".") + str(path[k])
-            memo[base, path[:k + 1]] = s
-        return s
+            j = k
+            while s is None:  # up to the deepest spelled ancestor
+                j -= 1
+                s = memo.get((base, path[:j])) if j else base
+            for j in range(j, k):  # then down to the parent, keeping each
+                s += ("-" if j else ".") + str(path[j])
+                memo[base, path[:j + 1]] = s
+        try:
+            return s + _SUFFIXES[k > 0][path[k]]
+        except IndexError:  # a rule with more than ten children
+            return s + ("-" if k else ".") + str(path[k])
     return spell
 
 

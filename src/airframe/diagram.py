@@ -260,14 +260,24 @@ def evaluate_word(table, word):
     """Evaluate a word as a diagram.
 
     table: {name: GraphPairDiagram}; word: list of (name, exponent),
-    applied right to left like function composition.  Each letter acts
-    |exponent| times on the left of the running product, in time
-    proportional to the letter plus the cells of the product it refines.
+    applied right to left like function composition.  Adjacent inverse
+    letters cancel first (x x^-1 is the identity, and the reduced diagram
+    is unique); each remaining letter acts |exponent| times on the left of
+    the running product, in time proportional to the letter plus the
+    cells of the product it refines.
     """
     system = next(iter(table.values())).system
-    return _product(identity(system), (table[name]._factors[exp < 0]
-                                       for name, exp in reversed(word)
-                                       for _ in range(abs(exp))))
+    factors = []
+    for name, exp in reversed(word):
+        g = table[name]
+        if g.system is not system:
+            raise ValueError("diagrams over different systems")
+        for _ in range(abs(exp)):
+            if factors and factors[-1] is g._factors[exp > 0]:
+                factors.pop()
+            else:
+                factors.append(g._factors[exp < 0])
+    return _product(identity(system), factors)
 
 
 # --- the left-action product -------------------------------------------------
@@ -403,11 +413,11 @@ class _Factor:
 
 def _split(system, node):
     """Expand a leaf's pair in place into its child pairs."""
-    _, lazy, a, flag, color = node
+    _, lazy, (base, path), flag, color = node
     colors = system.child_colors[color]
     kids = [None] * len(colors)
     for i, (j, r) in enumerate(_matching(system, color, flag != lazy)):
-        kids[j] = [None, False, child(a, i), r, colors[j]]
+        kids[j] = [None, False, (base, path + (i,)), r, colors[j]]
     node[0], node[1], node[2] = kids, False, None
 
 
@@ -427,13 +437,15 @@ def _joined(system, kids, color):
     the kids are leaves holding every child of one domain cell, paired
     straight or by the reversal matching."""
     node = [kids, False, None, False, color]
-    a = core.parent(kids[0][2]) if kids[0][0] is None else None
-    if a is None:
+    a = kids[0][2]  # None at an internal node
+    if a is None or not a[1]:
         return node
+    a = a[0], a[1][:-1]
     got = [None] * len(kids)
-    for j, (grand, lazy, d, flag, _) in enumerate(kids):
+    for j, (_, lazy, d, flag, _) in enumerate(kids):
         # a differently colored cell can have more children than kids
-        if grand is not None or core.parent(d) != a or d[1][-1] >= len(got):
+        if d is None or not d[1] or (d[0], d[1][:-1]) != a \
+                or d[1][-1] >= len(got):
             return node
         got[d[1][-1]] = (j, flag != lazy)
     got = tuple(got)
@@ -456,5 +468,7 @@ def _diagram(system, roots):
             continue
         if node[1]:
             _push(system, node)
-        stack += [(child(x, j), kid) for j, kid in enumerate(node[0])]
+        base, path = x
+        stack += [((base, path + (j,)), kid)
+                  for j, kid in enumerate(node[0])]
     return GraphPairDiagram(system, mapping)

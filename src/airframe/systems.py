@@ -260,6 +260,9 @@ class PLMap:
         if len({x for x, _ in pts}) != len(pts):
             raise ValueError("duplicate breakpoint")
         if circle:
+            if not pts:
+                raise ValueError("empty circle map: a PL map needs at "
+                                 "least one breakpoint")
             # a point's neighbours over one period of the lift: the last
             # point one period back, the first one period on
             lift = self._lift(pts)  # raises unless increasing of degree one

@@ -46,88 +46,90 @@ def tokenize(src):
 
 class Parser:
     def __init__(self, src):
-        self.src = src
         self.toks = tokenize(src)
+        # walked by index: past the last token is a sentinel, not a check
+        self.toks.append((None, len(src)))
         self.i = 0
         self.open = 0  # brackets open at the current token
 
-    def peek(self):
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
-
-    def pos(self):
-        return self.toks[self.i][1] if self.i < len(self.toks) \
-            else len(self.src)
-
-    def take(self, expected=None):
-        if self.i >= len(self.toks):
-            raise WordSyntaxError("unexpected end of word", len(self.src))
-        tok, pos = self.toks[self.i]
-        if expected is not None and tok != expected:
-            raise WordSyntaxError("expected %r, found %r" % (expected, tok),
-                                  pos)
-        self.i += 1
-        return tok, pos
-
     def parse(self):
         expr, _, _ = self.word()
-        if self.i < len(self.toks):
-            raise WordSyntaxError("trailing input %r" % self.peek(),
-                                  self.pos())
+        tok, pos = self.toks[self.i]
+        if tok is not None:
+            raise WordSyntaxError("trailing input %r" % tok, pos)
         return expr
 
-    # word, factor and primary return (expression, flattened length,
-    # height), so a word too long to flatten or too deep to recurse over
-    # fails before any letter list is built
+    def expect(self, want):
+        tok, pos = self.toks[self.i]
+        if tok != want:
+            raise WordSyntaxError(
+                "unexpected end of word" if tok is None
+                else "expected %r, found %r" % (want, tok), pos)
+        self.i += 1
+
+    # word and factor return (expression, flattened length, height), so a
+    # word too long to flatten or too deep to recurse over fails before
+    # any letter list is built
     def word(self):
+        toks = self.toks
         parts, n, h = [], 0, 0
-        while not parts or self.peek() not in (None, ")", "]", ","):
-            pos = self.pos()
+        while True:
+            pos = toks[self.i][1]
             expr, m, g = self.factor()
             parts.append(expr)
             n, h = _bounded(n + m, pos), max(h, g)
+            if toks[self.i][0] in (None, ")", "]", ","):
+                break
         if len(parts) == 1:
             return parts[0], n, h
         return ("seq", parts), n, _nested(h + 1, pos)
 
-    def factor(self):
-        expr, n, h = self.primary()
-        while self.peek() in ("'", "^"):
-            tok, pos = self.take()
-            if tok == "'":
-                expr = ("inv", expr)
+    def factor(self, postfix=True):
+        """A primary, then its postfixes unless postfix is False (the
+        primary after "^")."""
+        toks = self.toks
+        tok, pos = toks[self.i]
+        self.i += 1
+        if tok is None:
+            raise WordSyntaxError("unexpected end of word", pos)
+        if tok[0].isalpha():
+            expr, n, h = ("atom", LONG_NAMES.get(tok, tok)), 1, 1
+        elif tok == "(" or tok == "[":
+            self.open = _nested(self.open + 1, pos)
+            expr, n, h = self.word()
+            if tok == "(":
+                self.expect(")")
             else:
-                nxt = self.peek()
-                if nxt is not None and _NUMBER.fullmatch(nxt):
-                    k, _ = self.take()
+                self.expect(",")
+                y, m, g = self.word()
+                self.expect("]")
+                expr, n, h = ("comm", expr, y), 2 * (n + m), _nested(
+                    max(h, g) + 1, pos)
+            self.open -= 1
+        elif _NUMBER.fullmatch(tok):
+            raise WordSyntaxError("number %r is not a generator" % tok, pos)
+        else:
+            raise WordSyntaxError("expected a generator, found %r" % tok, pos)
+        while postfix:
+            tok, pos = toks[self.i]
+            if tok == "'":
+                self.i += 1
+                expr = ("inv", expr)
+            elif tok == "^":
+                k = toks[self.i + 1][0]
+                if k is not None and _NUMBER.fullmatch(k):
+                    self.i += 2
                     expr = ("pow", expr, int(k))
                     n = _bounded(n * abs(int(k)), pos)
                 else:
-                    y, m, g = self.primary()
+                    self.i += 1
+                    y, m, g = self.factor(False)
                     expr, n = ("conj", expr, y), _bounded(n + 2 * m, pos)
                     h = max(h, g)
+            else:
+                break
             h = _nested(h + 1, pos)
         return expr, n, h
-
-    def primary(self):
-        tok = self.peek()
-        if tok in ("(", "["):
-            _, pos = self.take()
-            self.open = _nested(self.open + 1, pos)
-            x, n, h = self.word()
-            if tok == "(":
-                self.take(")")
-            else:
-                self.take(",")
-                y, m, g = self.word()
-                self.take("]")
-                x, n, h = ("comm", x, y), 2 * (n + m), _nested(
-                    max(h, g) + 1, pos)
-            self.open -= 1
-            return x, n, h
-        tok, pos = self.take()
-        if _NUMBER.fullmatch(tok):
-            raise WordSyntaxError("number %r is not a generator" % tok, pos)
-        return ("atom", LONG_NAMES.get(tok, tok)), 1, 1
 
 
 def _bounded(n, pos):

@@ -144,6 +144,9 @@ def test_intertwine(capsys):
     (["transitivity", "--k", "2", "--word-bound", "30", "--sample", "3",
       "--depth-bound", "1"],
      "--word-bound bounds the words of --k 1; pair words are not bounded"),
+    # the central component's word is empty, so k=1 would check nothing
+    (["transitivity", "--k", "1", "--depth-bound", "0"],
+     "--depth-bound 0 enumerates only the central component"),
 ])
 def test_vacuous_arguments_fail_cleanly(capsys, argv, message):
     start = time.perf_counter()
@@ -359,3 +362,34 @@ def test_word_length_bound():
         with pytest.raises(WordSyntaxError) as ei:
             parse_word(s)
         assert ei.value.pos == pos
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", ","], "expected a generator, found ',' (at offset 0)"),
+    (["eval", ")"], "expected a generator, found ')' (at offset 0)"),
+    (["d", "'"], "expected a generator, found \"'\" (at offset 0)"),
+    (["eval", "a^'"], "expected a generator, found \"'\" (at offset 2)"),
+])
+def test_punctuation_for_a_generator_fails_cleanly(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", "error: %s\n" % message)
+
+
+def test_punctuation_for_a_generator_prints_no_traceback():
+    done = eval_subprocess("a^'")
+    assert done.returncode == 1
+    assert done.stderr == "error: expected a generator, found \"'\"" \
+                          " (at offset 2)\n"
+
+
+def test_closed_pipe_prints_no_traceback():
+    # the reader is gone before the suite has printed anything, as with
+    # `airframe check --json | head -n 1` on a long output
+    src = os.path.dirname(os.path.dirname(airframe.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "airframe.cli", "check", "--json"],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""

@@ -1,11 +1,13 @@
 """Group axioms and reduction canonicity on random words of up to 20
 letters over the Airplane generators, word evaluation against the
-letter-by-letter product over all four generator tables, powers,
+letter-by-letter product over all four generator tables, inserted
+inverse pairs that leave to_json's bytes alone, powers,
 conjugates and commutators against their compose chains, leaf images
 against pair expansion, component images through unreduced diagrams,
 the derivative D on unreduced diagrams and under compose, and the
 parser on arbitrary token strings."""
 
+import json
 import random
 
 import pytest
@@ -91,6 +93,29 @@ def test_evaluate_word_is_the_letter_by_letter_product(system, data):
     assert f.to_json() == product.to_json()
     assert f.domain == product.domain and f.range == product.range
     assert f.reduce() is f
+
+
+@pytest.mark.parametrize("system", sorted(TABLES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_inserted_inverse_pairs_leave_the_bytes_alone(system, data):
+    # evaluate_word cancels x x^-1; the letter-by-letter compose chain of
+    # the longer word does not, and reduces to the same diagram
+    table = TABLES[system]
+    letters = st.tuples(st.sampled_from(sorted(table)),
+                        st.sampled_from([1, -1]))
+    w = data.draw(st.lists(letters, max_size=20))
+    longer = list(w)
+    for _ in range(data.draw(st.integers(1, 6))):
+        i = data.draw(st.integers(0, len(longer)))
+        name, exp = data.draw(letters)
+        longer[i:i] = [(name, exp), (name, -exp)]
+    text = json.dumps(evaluate_word(table, w).to_json())
+    assert json.dumps(evaluate_word(table, longer).to_json()) == text
+    chain = identity(next(iter(table.values())).system)
+    for name, exp in longer:
+        chain = chain.compose(table[name].power(exp))
+    assert json.dumps(chain.to_json()) == text
 
 
 @pytest.mark.parametrize("system", sorted(TABLES))

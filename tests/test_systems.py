@@ -102,6 +102,13 @@ def test_circle_plmap_of_one_slope_is_a_rotation():
     assert half_turn.invert().breaks == [(0, H)]
 
 
+def test_empty_circle_plmap_is_refused():
+    with pytest.raises(ValueError, match="empty circle map"):
+        PLMap([], circle=True)
+    with pytest.raises(ValueError, match="interval map must fix 0 and 1"):
+        PLMap([])
+
+
 def dyadic_points(rng, circle):
     """Seeded breakpoints of an increasing dyadic map: sorted x, and y
     sorted then turned cyclically for a circle map, which gives degree
