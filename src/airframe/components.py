@@ -354,8 +354,9 @@ def orbit_search(src, tgt, max_len, table=None):
 # circle word, slide the leading position to 1/2 with right-ray words,
 # then absorb the leading circle into the center with alpha^-1.
 
-def _value_bfs(start, goal, moves, max_cost=40, max_den=1 << 12):
-    """Dijkstra on a single dyadic value; moves = [(word, fn)]."""
+def _value_bfs(start, goal, moves, max_cost=80, max_den=1 << 12):
+    """Dijkstra on a single dyadic value; moves = [(word, fn)].  A move
+    costs its letters, and no word of more than max_cost is searched."""
     heap = [(0, 0, start, [])]
     seen = {}
     tie = 0
@@ -446,6 +447,11 @@ def word_cost(word, gen_set):
     return cost
 
 
+def epsilon_sum(word):
+    """The exponent sum of epsilon in a written word."""
+    return sum(exp for name, exp in word if name == "e")
+
+
 # Distinct (kind, start value) keys of the solvers; a full 1- and
 # 2-transitivity run at denominator 8 and depth 2 makes about 50.
 BFS_WORDS_CACHED = 1024
@@ -476,9 +482,9 @@ def _center_step(cur, gen_set):
     return [w1, w2], act_word(w2, cur)
 
 
-# Each solver below is a loop over one level, which removes the leading
-# circle of a path; a path's word is its first level's words followed
-# by the word of the path that level leaves.  WordTable keeps those.
+# A solver is a loop over one level, which removes the leading circle of
+# a path; a path's word is its first level's words followed by the word
+# of the path that level leaves.  WordTable runs that loop and keeps them.
 
 CENTER_LEVELS = 10  # the levels solve_to_center may take
 FIXING_LEVELS = 12  # the levels solve_to_center_fixing_center may take
@@ -495,12 +501,12 @@ def _center_level(cur, gen_set):
     return words + [[("a", -1)]], act_word([("a", -1)], cur)
 
 
-def _fixing_level(cur):
+def _fixing_level(cur, gen_set):
     """One level of solve_to_center_fixing_center: the center step,
     then, unless it left ((0,1/2),), an unfolding conjugate.  Returns
     (the words in application order, the path they leave, or None when
     done), or None if a word is missing."""
-    step = _center_step(cur, "five")
+    step = _center_step(cur, gen_set)
     if step is None:
         return None
     words, cur = step
@@ -522,100 +528,72 @@ def solve_to_center(path, gen_set="five"):
     gen_set: "five" for alpha..epsilon, "commutator" for the
     commutator-subgroup generating set.
     """
-    _check_gen_set(gen_set)
-    cur = validate_path(path)
-    pieces = []  # words in application order
-    for _ in range(CENTER_LEVELS):
-        if not cur:
-            break
-        level = _center_level(cur, gen_set)
-        if level is None:
-            return None
-        words, cur = level
-        pieces += words
-    return None if cur else _flatten(pieces)
+    return WordTable(gen_set).to_center(path)
 
 
-def solve_to_center_fixing_center(path):
+def solve_to_center_fixing_center(path, gen_set="five"):
     """A word fixing the central component and mapping the given
     component to ((0,1/2)).  Used for 2-transitivity."""
-    cur = _off_center(path)
-    pieces = []
-    for _ in range(FIXING_LEVELS):
-        level = _fixing_level(cur)
-        if level is None:
-            return None
-        words, cur = level
-        pieces += words
-        if cur is None:
-            return _flatten(pieces)
-    return None
+    return WordTable(gen_set).to_center_fixing_center(path)
 
 
-def _off_center(path):
-    cur = validate_path(path)
-    if not cur:
-        raise ValueError("cannot move the central component while fixing it")
-    return cur
-
-
-def solve_pair(c1, c2):
+def solve_pair(c1, c2, gen_set="five"):
     """A word mapping (c1, c2) to (central, ((0,1/2)))."""
-    return _pair(c1, c2, solve_to_center, solve_to_center_fixing_center)
-
-
-def _pair(c1, c2, to_center, fixing_center):
-    """solve_pair through the given single-component solvers."""
-    c1, c2 = validate_path(c1), validate_path(c2)
-    if c1 == c2:
-        raise ValueError("components must be distinct")
-    w1 = to_center(c1) if c1 else []
-    if w1 is None:
-        return None
-    w2 = fixing_center(act_word(w1, c2))
-    return None if w2 is None else w2 + w1
+    return WordTable(gen_set).pair(c1, c2)
 
 
 class WordTable:
-    """The solver words of one report, each level solved once.
+    """The solver words over one generator set, each level solved once.
 
     Maps every path a solver reaches to the number of levels and the
     written word that remain from it, so a component whose first level
-    leaves a known path costs that level and a lookup.  Its words equal
-    those of solve_to_center, solve_to_center_fixing_center and
-    solve_pair, within the same level budgets.  Build one per report:
+    leaves a known path costs that level and a lookup.  The standalone
+    solvers are a fresh table; a report builds one and keeps it, since
     it keeps every path it meets.
     """
 
-    def __init__(self):
-        self._tables = {}  # {solver: {path chain: (levels, word) or None}}
-
-    def to_center(self, path, gen_set="five"):
-        """solve_to_center(path, gen_set)."""
+    def __init__(self, gen_set="five"):
         _check_gen_set(gen_set)
-        return self._word(gen_set, (), lambda cur: _center_level(cur, gen_set),
-                          CENTER_LEVELS, validate_path(path))
+        self.gen_set = gen_set
+        # {path chain: (levels, word) or None}, one table per solver
+        self._center = {(): (0, ())}
+        self._fixing = {None: (0, ())}
+
+    def to_center(self, path):
+        """solve_to_center(path, self.gen_set)."""
+        return self._word(self._center, _center_level, CENTER_LEVELS,
+                          validate_path(path))
 
     def to_center_fixing_center(self, path):
-        """solve_to_center_fixing_center(path)."""
-        return self._word("fixing", None, _fixing_level, FIXING_LEVELS,
-                          _off_center(path))
+        """solve_to_center_fixing_center(path, self.gen_set)."""
+        path = validate_path(path)
+        if not path:
+            raise ValueError("cannot move the central component while "
+                             "fixing it")
+        return self._word(self._fixing, _fixing_level, FIXING_LEVELS, path)
 
     def pair(self, c1, c2):
-        """solve_pair(c1, c2)."""
-        return _pair(c1, c2, self.to_center, self.to_center_fixing_center)
+        """solve_pair(c1, c2, self.gen_set)."""
+        c1, c2 = validate_path(c1), validate_path(c2)
+        if c1 == c2:
+            raise ValueError("components must be distinct")
+        w1 = self.to_center(c1)
+        if w1 is None:
+            return None
+        w2 = self.to_center_fixing_center(act_word(w1, c2))
+        return None if w2 is None else w2 + w1
 
-    def _word(self, solver, end, level, budget, path):
-        """The word of `path` under the solver whose one level is `level`
-        and which stops at `end` (a path, or None from _fixing_level).
-        Paths are keyed by their chains: a Fraction's hash is dear."""
-        table = self._tables.setdefault(solver, {end: (0, ())})
+    def _word(self, table, level, budget, path):
+        """The word of `path` under the solver whose one level is `level`,
+        whose table ends at its goal (a path chain, or None from
+        _fixing_level) and which may take `budget` levels.  Paths are
+        keyed by their chains: a Fraction's hash is dear."""
         walk = []  # (chain, its level's written word) out to a known path
         cur, key = path, path_chain(path)
         while key not in table:
-            if len(walk) == budget:  # the solver's loop would end here
+            if len(walk) == budget:  # out of levels
                 return None
-            step = level(cur)
+            step = level(cur, self.gen_set)
             if step is None:
                 table[key] = None
                 break
@@ -674,7 +652,7 @@ def check_k_transitivity(k, gen_set="five", max_den=8, word_bound=30,
     rng, whose words are not bounded.  Returns a report dict."""
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    _check_gen_set(gen_set)
+    table = WordTable(gen_set)  # the solver's words for this report only
     if word_bound < 0:
         raise ValueError("word_bound must be at least 0")
     if k == 1 and sample is not None:
@@ -687,15 +665,18 @@ def check_k_transitivity(k, gen_set="five", max_den=8, word_bound=30,
     if sample is not None and not 1 <= sample <= n_pairs:
         raise ValueError("sample must be between 1 and %d, the number of "
                          "ordered pairs" % n_pairs)
-    table = WordTable()  # the solver's words for this report only
     failures = []
     checked = 0
+    # a commutator witness must lie in [T_A, T_A], the kernel of the
+    # derivative D; D(e) = 2 and D(a..d) = 1, so its e-exponent sum is 0
+    kernel = gen_set == "commutator"
     # each witness is re-applied on chains, apart from the act the solver ran
     if k == 1:
         for c in comps:
-            word = table.to_center(c, gen_set)
+            word = table.to_center(c)
             checked += 1
             if word is None or word_cost(word, gen_set) > word_bound \
+                    or kernel and epsilon_sum(word) \
                     or chain_act_word(word, path_chain(c)) != ():
                 failures.append(format_path(c))
     else:
@@ -703,6 +684,7 @@ def check_k_transitivity(k, gen_set="five", max_den=8, word_bound=30,
             word = table.pair(c1, c2)
             checked += 1
             ok = (word is not None  # c2 to ((0, 1/2)), as a chain
+                  and not (kernel and epsilon_sum(word))
                   and chain_act_word(word, path_chain(c1)) == ()
                   and chain_act_word(word, path_chain(c2)) == ((0, 1), (1, 2)))
             if not ok:

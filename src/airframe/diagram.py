@@ -266,10 +266,15 @@ def evaluate_word(table, word):
     the running product, in time proportional to the letter plus the
     cells of the product it refines.
     """
+    if not table:
+        raise ValueError("empty generator table")
     system = next(iter(table.values())).system
     factors = []
     for name, exp in reversed(word):
-        g = table[name]
+        try:
+            g = table[name]
+        except KeyError:
+            raise ValueError("unknown generator %r" % (name,)) from None
         if g.system is not system:
             raise ValueError("diagrams over different systems")
         for _ in range(abs(exp)):

@@ -1,13 +1,15 @@
 """Reference reports, kept apart from the per-report work that airframe
 shares between tree nodes: every component is solved alone by the
-standalone solvers and its witness re-applied with the Fraction action,
-and every tree vertex is located from the center through its path and
+standalone solvers and its witness re-applied with the Fraction action
+(a commutator witness is also checked to lie in [T_A, T_A] through its
+diagram), and every tree vertex is located from the center through its path and
 identify, with its images read back as Fractions.  Tests compare the
 library's transitivity and intertwine reports against these."""
 
 from fractions import Fraction
 
 from airframe import components as comp, geometry, trees
+from airframe.analysis import is_in_commutator
 from airframe.diagram import evaluate_word
 from airframe.systems import airplane_generators, basilica_generators
 
@@ -18,6 +20,11 @@ def check_k_transitivity(k, gen_set="five", max_den=8, word_bound=30,
                          max_depth=2, sample=None, rng=None):
     """components.check_k_transitivity, one standalone solve per tuple."""
     comps = comp.enumerate_components(max_den, max_depth)
+    table = airplane_generators()
+
+    def outside(word):  # a commutator witness outside [T_A, T_A]
+        return gen_set == "commutator" \
+            and not is_in_commutator(evaluate_word(table, word))
     failures = []
     checked = 0
     if k == 1:
@@ -25,13 +32,14 @@ def check_k_transitivity(k, gen_set="five", max_den=8, word_bound=30,
             word = comp.solve_to_center(c, gen_set)
             checked += 1
             if word is None or comp.word_cost(word, gen_set) > word_bound \
-                    or comp.act_word(word, c) != CENTER:
+                    or outside(word) or comp.act_word(word, c) != CENTER:
                 failures.append(comp.format_path(c))
     else:
         for c1, c2 in comp.ordered_pairs(comps, sample, rng):
-            word = comp.solve_pair(c1, c2)
+            word = comp.solve_pair(c1, c2, gen_set)
             checked += 1
-            if word is None or comp.act_word(word, c1) != CENTER \
+            if word is None or outside(word) \
+                    or comp.act_word(word, c1) != CENTER \
                     or comp.act_word(word, c2) != TO_RAY:
                 failures.append((comp.format_path(c1), comp.format_path(c2)))
     return {"k": k, "generators": gen_set, "checked": checked,

@@ -164,6 +164,8 @@ def test_c08_transitivity():
     rng = random.Random(108)
     rep = comp.check_k_transitivity(2, "five", 8, 30, sample=20, rng=rng)
     assert rep["ok"] and rep["checked"] == 20
+    rep = comp.check_k_transitivity(2, "commutator", 8, 30, sample=20, rng=rng)
+    assert rep["ok"] and rep["checked"] == 20
     # three rays vs three on the horizontal line: alignment separates
     # the orbits, so no word maps one triple to the other
     rays3 = (((F(0), H),), ((F(1, 4), H),), ((H, H),))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from airframe import components as comp
+from airframe.analysis import is_in_commutator
 from airframe.diagram import evaluate_word
 from airframe.systems import airplane_generators
 
@@ -221,8 +222,7 @@ def test_witness_check_is_live(monkeypatch):
     assert comp.check_k_transitivity(2, "five", 4, sample=20, rng=rng)["ok"]
     to_center, pair = comp.WordTable.to_center, comp.WordTable.pair
     monkeypatch.setattr(comp.WordTable, "to_center",
-                        lambda self, c, gen_set="five":
-                        to_center(self, c, gen_set)[1:])
+                        lambda self, c: to_center(self, c)[1:])
     rep = comp.check_k_transitivity(1, "five", 4)
     assert rep["failures"] == [comp.format_path(c) for c in
                                comp.enumerate_components(4, 2)[1:]]
@@ -241,21 +241,22 @@ def test_word_table_gives_the_standalone_words(max_den, max_depth, gen_set):
     comps = comp.enumerate_components(max_den, max_depth)
     alone = [comp.solve_to_center(c, gen_set) for c in comps]
     for order in (comps, comps[::-1]):
-        words = comp.WordTable()
-        assert {c: words.to_center(c, gen_set) for c in order} \
+        words = comp.WordTable(gen_set)
+        assert {c: words.to_center(c) for c in order} \
             == dict(zip(comps, alone))
-    words = comp.WordTable()
+    words = comp.WordTable(gen_set)
     for c in comps[:0:-1]:
         assert words.to_center_fixing_center(c) \
-            == comp.solve_to_center_fixing_center(c)
+            == comp.solve_to_center_fixing_center(c, gen_set)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_word_table_gives_the_standalone_pair_words(seed):
     comps = comp.enumerate_components(4, 2)
-    words = comp.WordTable()
-    for c1, c2 in comp.ordered_pairs(comps, 40, random.Random(seed)):
-        assert words.pair(c1, c2) == comp.solve_pair(c1, c2)
+    for gen_set in comp.GEN_SETS:
+        words = comp.WordTable(gen_set)
+        for c1, c2 in comp.ordered_pairs(comps, 40, random.Random(seed)):
+            assert words.pair(c1, c2) == comp.solve_pair(c1, c2, gen_set)
 
 
 @pytest.mark.parametrize("levels", [1, 2])
@@ -280,33 +281,36 @@ def test_word_table_keeps_the_level_budgets(monkeypatch, levels):
 
 def test_report_words_are_the_standalone_words(monkeypatch):
     """The words each report checks, recorded as the table hands them
-    out, equal the standalone solver's."""
+    out, equal the standalone solver's.  The standalone solvers are a
+    fresh table of the patched class, so the spies compare against the
+    original methods on a fresh table."""
     seen = []
     to_center, pair = comp.WordTable.to_center, comp.WordTable.pair
 
-    def spy_to_center(self, c, gen_set="five"):
-        word = to_center(self, c, gen_set)
-        seen.append((word, comp.solve_to_center(c, gen_set)))
+    def spy_to_center(self, c):
+        word = to_center(self, c)
+        seen.append((word, to_center(comp.WordTable(self.gen_set), c)))
         return word
 
     def spy_pair(self, c1, c2):
         word = pair(self, c1, c2)
-        seen.append((word, comp.solve_pair(c1, c2)))
+        seen.append((word, pair(comp.WordTable(self.gen_set), c1, c2)))
         return word
     monkeypatch.setattr(comp.WordTable, "to_center", spy_to_center)
     monkeypatch.setattr(comp.WordTable, "pair", spy_pair)
-    for gen_set in ("five", "commutator"):
+    for gen_set in comp.GEN_SETS:
         comp.check_k_transitivity(1, gen_set, 4)
-    for seed in range(3):
-        comp.check_k_transitivity(2, "five", 4, sample=20,
-                                  rng=random.Random(seed))
+        for seed in range(3):
+            comp.check_k_transitivity(2, gen_set, 4, sample=20,
+                                      rng=random.Random(seed))
     # pair words call to_center for their first component
-    assert len(seen) >= 2 * 85 + 3 * 20
+    assert len(seen) >= 2 * 85 + 2 * 3 * 20
     assert all(word == alone for word, alone in seen)
 
 
 @pytest.mark.parametrize("k, gen_set, word_bound", [
-    (1, "five", 30), (1, "commutator", 30), (1, "five", 6), (2, "five", 30)])
+    (1, "five", 30), (1, "commutator", 30), (1, "five", 6), (2, "five", 30),
+    (2, "commutator", 30)])
 def test_reports_equal_the_per_component_reference(k, gen_set, word_bound):
     """check_k_transitivity at denominator 4 and depth 2 against a loop
     that solves each tuple alone and checks it with the Fraction act; a
@@ -317,6 +321,39 @@ def test_reports_equal_the_per_component_reference(k, gen_set, word_bound):
     assert len(rep["failures"]) == (40 if word_bound == 6 else 0)
     assert rep == reference.check_k_transitivity(
         k, gen_set, 4, word_bound, rng=random.Random(7), **kw)
+
+
+def test_commutator_pair_report_is_exhaustive_at_denominator_4():
+    rep = comp.check_k_transitivity(2, "commutator", 4)
+    assert rep["ok"] and rep["checked"] == 85 * 84 == 7140
+
+
+def test_commutator_pair_witnesses_lie_in_the_commutator_subgroup():
+    comps = comp.enumerate_components(8, 2)
+    words = comp.WordTable("commutator")
+    for c1, c2 in comp.ordered_pairs(comps, 20, random.Random(22)):
+        word = words.pair(c1, c2)
+        assert comp.epsilon_sum(word) == 0
+        assert is_in_commutator(evaluate_word(table(), word))
+
+
+def test_five_generator_pair_words_fail_the_commutator_report(monkeypatch):
+    """Five-generator witnesses in a commutator k=2 report fail exactly
+    where their epsilon-exponent sum is not 0, although they move the
+    pair where it should go."""
+    pair = comp.WordTable.pair
+    five = comp.WordTable("five")
+    monkeypatch.setattr(comp.WordTable, "pair",
+                        lambda self, c1, c2: pair(five, c1, c2))
+    picks = comp.ordered_pairs(comp.enumerate_components(4, 2), 40,
+                               random.Random(5))
+    outside = [(comp.format_path(c1), comp.format_path(c2))
+               for c1, c2 in picks if comp.epsilon_sum(pair(five, c1, c2))]
+    for gen_set, failures in (("commutator", outside), ("five", [])):
+        rep = comp.check_k_transitivity(2, gen_set, 4, sample=40,
+                                        rng=random.Random(5))
+        assert rep["failures"] == failures
+    assert len(outside) > 20
 
 
 @pytest.mark.parametrize("k, sample, message", [
@@ -354,7 +391,9 @@ def test_unknown_generator_sets_are_rejected(gen_set):
     for call in (lambda: comp.check_k_transitivity(1, gen_set, 2),
                  lambda: comp.solve_to_center(p, gen_set),
                  lambda: comp.solve_to_center((), gen_set),
-                 lambda: comp.WordTable().to_center(p, gen_set),
+                 lambda: comp.solve_to_center_fixing_center(p, gen_set),
+                 lambda: comp.solve_pair((), p, gen_set),
+                 lambda: comp.WordTable(gen_set),
                  lambda: comp.word_cost([("a", 1)], gen_set)):
         with pytest.raises(ValueError, match="unknown generator set %r: "
                            "use 'five' or 'commutator'" % gen_set):

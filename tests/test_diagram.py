@@ -169,6 +169,16 @@ def test_products_reject_mixed_systems(gens, bgens):
             product()
 
 
+def test_words_fail_cleanly_on_a_bad_table(gens):
+    """A name the table lacks, or an empty table, is a ValueError that
+    says so, not a bare KeyError or StopIteration."""
+    with pytest.raises(ValueError, match="unknown generator 'q'"):
+        evaluate_word(gens, [("a", 1), ("q", 2)])
+    for word in ([("a", 1)], []):
+        with pytest.raises(ValueError, match="empty generator table"):
+            evaluate_word({}, word)
+
+
 def test_power_and_order(gens):
     def order_up_to(f, n):
         return next((k for k in range(1, n + 1) if f.power(k).is_identity()),

@@ -16,3 +16,10 @@ def test_transitivity_denominator_16_depth_2():
     rep = components.check_k_transitivity(1, "five", 16)
     assert rep["ok"]
     assert rep["checked"] == len(components.enumerate_components(16, 2))
+
+
+def test_commutator_pair_transitivity_denominator_8_depth_1():
+    """Every ordered pair at (8, 1), with words in [T_A, T_A]; ray
+    position 33/64 needs a 44-letter word on the way."""
+    rep = components.check_k_transitivity(2, "commutator", 8, max_depth=1)
+    assert rep["ok"] and rep["checked"] == 57 * 56
