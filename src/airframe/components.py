@@ -11,9 +11,7 @@ the tip.
 
 import functools
 import heapq
-from bisect import bisect_right
 from fractions import Fraction
-from math import gcd
 
 from .core import parent
 from . import analysis, geometry
@@ -127,9 +125,11 @@ def image_path(f, red):
 #
 # Each generator acts on component paths through the map its diagram
 # induces: b, g, d turn the central circle, a and e slide along the
-# horizontal line Hor.  These agree with map_component on the generator
-# diagrams (property-tested) and make breadth-first orbit search
-# affordable.
+# horizontal line Hor.  chain_act applies that rule to the chain of a
+# path (path_chain) in integers, through PLMap.image; act reads its
+# result back as a path.  The rule agrees with map_component on the
+# generator diagrams (property-tested) and makes breadth-first orbit
+# search affordable.
 
 @functools.cache
 def _generator_maps():
@@ -144,30 +144,7 @@ def _generator_maps():
 
 def act(name, sign, path):
     """Apply a generator (sign = +-1) to a component path."""
-    try:
-        h = _generator_maps()[name, sign]
-    except KeyError:
-        raise ValueError("unknown generator %r" % name) from None
-    if h.circle:
-        if not path:
-            return path
-        (t, l), rest = path[0], path[1:]
-        return ((h(t), l),) + rest
-    # the circle where the path leaves Hor sits at x: a right-ray circle
-    # at (1+l)/2, a left-ray one at (1-l)/2, else the central one at 1/2
-    x, rest = HALF, path
-    if path and path[0][0] in (0, HALF):
-        (t, l), rest = path[0], path[1:]
-        x = (1 + l) / 2 if t == 0 else (1 - l) / 2
-    y = h(x)
-    head = () if y == HALF else ((Fraction(0), 2 * y - 1),) if y > HALF \
-        else ((HALF, 1 - 2 * y),)
-    # a circle's angle 0 faces the center: west on the right ray, east on
-    # the central circle and the left ray
-    if rest and (x > HALF) != (y > HALF):
-        (t, l), rest = rest[0], rest[1:]
-        rest = (((t + HALF) % 1, l),) + rest
-    return head + rest
+    return _read_path(chain_act(name, sign, path_chain(path)))
 
 
 def act_word(word, path):
@@ -179,63 +156,28 @@ def act_word(word, path):
     return path
 
 
-# --- the same action on chains, in integers --------------------------------
-#
-# chain_act is act on the chain of a path (path_chain): the same maps
-# read as integer pieces, so no Fraction is built.  act stays the
-# solver's action and the reference chain_act is tested against; the
-# transitivity checks and the orbit search run on chains.
-
-@functools.cache
-def _chain_maps():
-    """{(name, sign): (circle, D, starts, lines)}: the maps of
-    _generator_maps() in integers.  A piece's left end x0 is held as
-    x0 * D, for D the largest denominator among them, and its line as
-    PLMap.pieces() gives it: (a, b, c) takes n/d to (a n + b d) / (c d)."""
-    out = {}
-    for key, h in _generator_maps().items():
-        x0s, lines = zip(*h.pieces())
-        D = max(x.denominator for x in x0s)
-        out[key] = (h.circle, D,
-                    tuple(x.numerator * (D // x.denominator) for x in x0s),
-                    lines)
-    return out
-
-
-def _image(h, n, d):
-    """A _chain_maps() entry's image of n/d as a reduced pair."""
-    circle, D, starts, lines = h
-    X = n * D // d  # compares with the integer starts as n/d does with x0s
-    if X < starts[0]:  # below the lift of a circle map: one period up
-        n += d
-        X += D
-    a, b, c = lines[bisect_right(starts, X) - 1]
-    num, den = a * n + b * d, c * d
-    if circle:
-        num %= den
-    g = gcd(num, den)
-    return num // g, den // g
-
-
 def chain_act(name, sign, chain):
-    """act on the chain of a path: apply a generator (sign = +-1)."""
+    """Apply a generator (sign = +-1) to the chain of a path."""
     try:
-        h = _chain_maps()[name, sign]
+        h = _generator_maps()[name, sign]
     except KeyError:
         raise ValueError("unknown generator %r" % name) from None
-    if h[0]:  # a circle map turns the leading angle
-        return (_image(h, *chain[0]),) + chain[1:] if chain else chain
-    # act's rule for an interval map, on pairs: x = (1 +- l)/2 or 1/2
+    if h.circle:  # a circle map turns the leading angle
+        return (h.image(*chain[0]),) + chain[1:] if chain else chain
+    # the circle where the path leaves Hor sits at x: a right-ray circle
+    # at (1+l)/2, a left-ray one at (1-l)/2, else the central one at 1/2
     x, rest = (1, 2), chain
     if chain and chain[0] in ((0, 1), (1, 2)):
         (tn, _), (ln, ld), rest = chain[0], chain[1], chain[2:]
         x = (ld + ln if tn == 0 else ld - ln, 2 * ld)
-    yn, yd = _image(h, *x)
+    yn, yd = h.image(*x)
     half = yd // 2
     head = () if yd == 2 else ((0, 1), (yn - half, half)) if yn > half \
         else ((1, 2), (half - yn, half))
-    # the angle turned by 1/2 is never 0 or 1/2 (the first angle of a
-    # path off Hor, or an inner one), so its denominator is at least 4
+    # a circle's angle 0 faces the center: west on the right ray, east on
+    # the central circle and the left ray.  The angle turned by 1/2 is
+    # never 0 or 1/2 (the first angle of a path off Hor, or an inner
+    # one), so its denominator is at least 4
     if rest and (2 * x[0] > x[1]) != (yn > half):
         (tn, td), rest = rest[0], rest[1:]
         rest = (((tn + td // 2) % td, td),) + rest
@@ -670,7 +612,9 @@ def check_k_transitivity(k, gen_set="five", max_den=8, word_bound=30,
     # a commutator witness must lie in [T_A, T_A], the kernel of the
     # derivative D; D(e) = 2 and D(a..d) = 1, so its e-exponent sum is 0
     kernel = gen_set == "commutator"
-    # each witness is re-applied on chains, apart from the act the solver ran
+    # each witness is re-applied on chains as one composed word; that
+    # checks the word under the solver's own rule, which the tests check
+    # against map_component through the diagrams
     if k == 1:
         for c in comps:
             word = table.to_center(c)

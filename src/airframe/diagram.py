@@ -200,7 +200,12 @@ class GraphPairDiagram:
         pairs = []
         for a, b in data["map"].items():
             rev = b.startswith("~")
-            pairs.append((a, b.lstrip("~"), rev))
+            pairs.append((a, b[1:] if rev else b, rev))
+        # to_json's leaf lists, when given, must be the map's
+        for key, leaves in (("domain", [a for a, _, _ in pairs]),
+                            ("range", [b for _, b, _ in pairs])):
+            if key in data and data[key] != sorted(leaves):
+                raise ValueError("%s does not match the map" % key)
         out = cls.from_strings(system, pairs)
         if not out.validate():
             raise ValueError("not a valid diagram over system %r"

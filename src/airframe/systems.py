@@ -10,6 +10,7 @@ two red arcs at the midpoint, and an outer half.
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import gcd, lcm
 
 from .core import Graph, ReplacementRule, ReplacementSystem
 from .diagram import GraphPairDiagram
@@ -282,13 +283,16 @@ class PLMap:
             x, y = pts[0]
             self.breaks = [(Fraction(0), (y - x) % 1)]
         # the pieces, over one period of the lift for a circle map: their
-        # left ends, which __call__ bisects, and their lines as integer
-        # triples (a, b, c), which take n/d to (a n + b d) / (c d)
+        # left ends as integers over their common denominator D, which
+        # image bisects, and their lines as integer triples (a, b, c),
+        # which take n/d to (a n + b d) / (c d)
         pts = self.breaks
         if circle:
             pts = self._lift(pts)
             pts.append((pts[0][0] + 1, pts[0][1] + 1))
-        self._x0s = [x for x, _ in pts[:-1]]
+        self._D = lcm(*(x.denominator for x, _ in pts[:-1]))
+        self._starts = [x.numerator * (self._D // x.denominator)
+                        for x, _ in pts[:-1]]
         self._lines = []
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
             m = (y1 - y0) / (x1 - x0)
@@ -309,24 +313,26 @@ class PLMap:
         return out
 
     def __call__(self, x):
-        if not isinstance(x, Fraction):
-            x = Fraction(x)
-        if self.circle:
-            x %= 1
-            if x < self._x0s[0]:
-                x += 1
-        elif not 0 <= x <= 1:
-            raise ValueError("out of domain: %s" % x)
-        a, b, c = self._lines[bisect_right(self._x0s, x) - 1]
-        n, d = x.as_integer_ratio()
-        num, den = a * n + b * d, c * d
-        return Fraction(num % den if self.circle else num, den)
+        return Fraction(*self.image(*x.as_integer_ratio()))
 
-    def pieces(self):
-        """(left end, (a, b, c)) of each piece, whose line takes n/d to
-        (a n + b d) / (c d); over one period of the lift for a circle
-        map, whose first piece may start past 0."""
-        return list(zip(self._x0s, self._lines))
+    def image(self, n, d):
+        """The image of n/d (d > 0) as a reduced (numerator, denominator);
+        a circle map reads n/d mod 1, an interval map raises ValueError
+        outside [0, 1]."""
+        if self.circle:
+            n %= d
+        elif not 0 <= n <= d:
+            raise ValueError("out of domain: %s" % Fraction(n, d))
+        X = n * self._D // d  # floor(n/d * D) bisects as n/d does
+        if X < self._starts[0]:  # before a circle map's first piece
+            n += d
+            X += self._D
+        a, b, c = self._lines[bisect_right(self._starts, X) - 1]
+        num, den = a * n + b * d, c * d
+        if self.circle:
+            num %= den
+        g = gcd(num, den)
+        return num // g, den // g
 
     def compose(self, other):
         """self after other."""

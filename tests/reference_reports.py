@@ -1,19 +1,58 @@
 """Reference reports, kept apart from the per-report work that airframe
 shares between tree nodes: every component is solved alone by the
 standalone solvers and its witness re-applied with the Fraction action
-(a commutator witness is also checked to lie in [T_A, T_A] through its
-diagram), and every tree vertex is located from the center through its path and
-identify, with its images read back as Fractions.  Tests compare the
-library's transitivity and intertwine reports against these."""
+below (a commutator witness is also checked to lie in [T_A, T_A]
+through its diagram), and every tree vertex is located from the center
+through its path and identify, with its images read back as Fractions.
+Tests compare the library's transitivity and intertwine reports, and
+its integer action on chains, against these."""
 
 from fractions import Fraction
 
 from airframe import components as comp, geometry, trees
 from airframe.analysis import is_in_commutator
 from airframe.diagram import evaluate_word
+from airframe.geometry import HALF
 from airframe.systems import airplane_generators, basilica_generators
 
 CENTER, TO_RAY = (), ((Fraction(0), Fraction(1, 2)),)
+
+
+def act(name, sign, path):
+    """Apply a generator (sign = +-1) to a component path."""
+    try:
+        h = comp._generator_maps()[name, sign]
+    except KeyError:
+        raise ValueError("unknown generator %r" % name) from None
+    if h.circle:
+        if not path:
+            return path
+        (t, l), rest = path[0], path[1:]
+        return ((h(t), l),) + rest
+    # the circle where the path leaves Hor sits at x: a right-ray circle
+    # at (1+l)/2, a left-ray one at (1-l)/2, else the central one at 1/2
+    x, rest = HALF, path
+    if path and path[0][0] in (0, HALF):
+        (t, l), rest = path[0], path[1:]
+        x = (1 + l) / 2 if t == 0 else (1 - l) / 2
+    y = h(x)
+    head = () if y == HALF else ((Fraction(0), 2 * y - 1),) if y > HALF \
+        else ((HALF, 1 - 2 * y),)
+    # a circle's angle 0 faces the center: west on the right ray, east on
+    # the central circle and the left ray
+    if rest and (x > HALF) != (y > HALF):
+        (t, l), rest = rest[0], rest[1:]
+        rest = (((t + HALF) % 1, l),) + rest
+    return head + rest
+
+
+def act_word(word, path):
+    """Apply a word (list of (name, exponent), leftmost applied last)."""
+    for name, exp in reversed(word):
+        step = 1 if exp > 0 else -1
+        for _ in range(abs(exp)):
+            path = act(name, step, path)
+    return path
 
 
 def check_k_transitivity(k, gen_set="five", max_den=8, word_bound=30,
@@ -32,15 +71,15 @@ def check_k_transitivity(k, gen_set="five", max_den=8, word_bound=30,
             word = comp.solve_to_center(c, gen_set)
             checked += 1
             if word is None or comp.word_cost(word, gen_set) > word_bound \
-                    or outside(word) or comp.act_word(word, c) != CENTER:
+                    or outside(word) or act_word(word, c) != CENTER:
                 failures.append(comp.format_path(c))
     else:
         for c1, c2 in comp.ordered_pairs(comps, sample, rng):
             word = comp.solve_pair(c1, c2, gen_set)
             checked += 1
             if word is None or outside(word) \
-                    or comp.act_word(word, c1) != CENTER \
-                    or comp.act_word(word, c2) != TO_RAY:
+                    or act_word(word, c1) != CENTER \
+                    or act_word(word, c2) != TO_RAY:
                 failures.append((comp.format_path(c1), comp.format_path(c2)))
     return {"k": k, "generators": gen_set, "checked": checked,
             "failures": failures, "ok": not failures}

@@ -51,6 +51,21 @@ def test_from_json_rejects_invalid_diagrams(A):
     for data in (colors, leaves):
         with pytest.raises(ValueError):
             GraphPairDiagram.from_json(A, data)
+    alpha = airplane_generators()["a"]
+    good = alpha.to_json()
+    # one "~" marks a reversed pair; a second is part of no leaf name
+    twice = {"system": "airplane",
+             "map": {a: "~" + b if b.startswith("~") else b
+                     for a, b in good["map"].items()}}
+    with pytest.raises(ValueError):
+        GraphPairDiagram.from_json(A, twice)
+    # the leaf lists, when present, must be the map's
+    for key, bad in (("domain", ["junk"]), ("range", ["junk"]),
+                     ("domain", good["domain"][::-1]),
+                     ("range", good["range"][:-1])):
+        with pytest.raises(ValueError, match="%s does not match" % key):
+            GraphPairDiagram.from_json(A, dict(good, **{key: bad}))
+    assert GraphPairDiagram.from_json(A, good).equals(alpha)
 
 
 def test_expand_then_reduce_is_identity_map(gens):

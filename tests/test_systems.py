@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,3 +164,59 @@ def test_plmap_canonical_form(seed, circle):
     for _ in range(8):
         x = F(rng.randrange(0, 256 if circle else 257), 256)
         assert f(x) == interpolate(points, circle, x)
+
+
+@st.composite
+def plmaps(draw):
+    """A PL map whose breakpoints lie on 1/2^j or 1/(3 * 2^k), so they
+    need not be dyadic and their largest denominator is not always
+    their common one; built as dyadic_points builds one."""
+    circle = draw(st.booleans())
+    lo = 0 if circle else 1
+    dens = (draw(st.sampled_from([2 ** j for j in range(1, 6)])),
+            draw(st.sampled_from([3 * 2 ** k for k in range(5)])))
+    grid = sorted({F(k, den) for den in dens for k in range(lo, den)})
+    n = draw(st.integers(1, min(6, len(grid))))
+    pick = st.lists(st.sampled_from(grid), min_size=n, max_size=n,
+                    unique=True).map(sorted)
+    xs, ys = draw(pick), draw(pick)
+    if circle:
+        turn = draw(st.integers(0, n - 1))
+        return PLMap(list(zip(xs, ys[turn:] + ys[:turn])), circle=True)
+    return PLMap([(0, 0)] + list(zip(xs, ys)) + [(1, 1)])
+
+
+def points(f):
+    """(n, d) for a point of f's domain: any n for a circle map."""
+    d = st.integers(1, 3 * 2 ** 7)
+    if f.circle:
+        return st.tuples(st.integers(-3 * 2 ** 9, 3 * 2 ** 9), d)
+    return d.flatmap(lambda d: st.tuples(st.integers(0, d), st.just(d)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), plmaps())
+def test_plmap_image_reads_the_line_through_its_piece(data, f):
+    n, d = data.draw(points(f))
+    num, den = f.image(n, d)
+    # reduced, and the piece's line through its two breakpoints
+    assert den > 0 and gcd(num, den) == 1
+    x = F(n, d) % 1 if f.circle else F(n, d)
+    assert F(num, den) == interpolate(f.breaks, f.circle, x)
+    assert f(F(n, d)) == F(*f.image(*F(n, d).as_integer_ratio()))
+    # an unreduced pair has the same image
+    assert f.image(3 * n, 3 * d) == (num, den)
+    if f.circle:  # a circle map reads n/d mod 1
+        k = data.draw(st.integers(-4, 4))
+        assert f.image(n + k * d, d) == (num, den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), plmaps().filter(lambda f: not f.circle))
+def test_interval_plmap_image_refuses_points_outside_0_1(data, f):
+    d = data.draw(st.integers(1, 3 * 2 ** 7))
+    n = data.draw(st.integers(-4 * d, -1) | st.integers(d + 1, 5 * d))
+    with pytest.raises(ValueError, match="out of domain"):
+        f.image(n, d)
+    with pytest.raises(ValueError, match="out of domain"):
+        f(F(n, d))
