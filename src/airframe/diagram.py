@@ -195,8 +195,14 @@ class GraphPairDiagram:
 
     @classmethod
     def from_json(cls, system, data):
+        if not isinstance(data, dict) or "system" not in data \
+                or not isinstance(data.get("map"), dict):
+            raise ValueError("a diagram is an object with a system and a map")
         if data["system"] != system.name:
             raise ValueError("diagram is over system %r" % data["system"])
+        if not all(isinstance(x, str) for pair in data["map"].items()
+                   for x in pair):
+            raise ValueError("map keys and values must be leaf names")
         pairs = []
         for a, b in data["map"].items():
             rev = b.startswith("~")

@@ -140,23 +140,12 @@ def cell_at(system, points):
     point may be where a base line hangs (ATTACHED); any other is the
     midpoint of a cell of the current line, whose children that start a
     new line are the next.  No points: the first central arc."""
-    line = None
-    for p, q in points:
-        line = line_after(system, line, p, q)
-    return (line or _base_lines(system)[0])[0][0]
-
-
-def line_after(system, line, p, q):
-    """cell_at's step: the line that the point p/q leads to from `line`,
-    the line the points before it reached (None if there are none).  A
-    descent can go on from the line of any prefix of its chain."""
-    if q & (q - 1):
-        raise ValueError("not dyadic: %s" % Fraction(p, q))
-    if line is None:
-        line, hung = _base_lines(system)
-        if (p, q) in hung:
-            return hung[p, q]
-    return _next_line(system, line, p, q)
+    line, hung = _base_lines(system)
+    for k, (p, q) in enumerate(points):
+        if q & (q - 1):
+            raise ValueError("not dyadic: %s" % Fraction(p, q))
+        line = (not k and hung.get((p, q))) or _next_line(system, line, p, q)
+    return line[0][0]
 
 
 @functools.lru_cache(maxsize=16)

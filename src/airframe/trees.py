@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from . import components as comp, geometry
 from .diagram import evaluate_word
-from .geometry import AIRPLANE, BASILICA, HALF
-from .systems import airplane_generators, basilica_generators
+from .geometry import BASILICA, HALF
+from .systems import basilica_generators
 
 INC = "inc"  # step outward to the next midpoint circle on this ray
 
@@ -65,14 +65,10 @@ def moves_to_vertex(moves):
 
 def airplane_tree_action(table, word, vertex):
     """Act on a FrakC vertex by a word over alpha..delta."""
-    return _airplane_image(_airplane_diagram(table, word),
-                           comp.red_cell(vertex_to_path(vertex)))
-
-
-def _airplane_diagram(table, word):
     if any(name == "e" for name, _ in word):
         raise ValueError("epsilon does not preserve the component tree")
-    return evaluate_word(table, word)
+    return _airplane_image(evaluate_word(table, word),
+                           comp.red_cell(vertex_to_path(vertex)))
 
 
 def _airplane_image(f, red):
@@ -85,36 +81,36 @@ def _airplane_image(f, red):
     return out
 
 
-def _identified_image(f, red):
-    """identify(vertex_moves(_airplane_image(f, red))) as reduced
-    (numerator, denominator) pairs, read off the image arc's hang chain
-    and failing as _airplane_image does: first validate_path's checks,
-    then frak_c_membership's midpoint form."""
-    chain = comp.check_chain(
-        geometry.hang_chain(AIRPLANE, f.leaf_image(red))[:-1])
-    if any(ln + 1 != ld for ln, ld in chain[1::2]):  # not (2^j - 1)/2^j
-        raise AssertionError("image left the midpoint-chain tree: %s"
-                             % comp.format_path(comp.image_path(f, red)))
-    return _identified(chain)
+def _vertex_chain(moves):
+    """comp.path_chain of the path of the FrakC vertex with these moves:
+    a turn t appends t and the position 1/2, INC steps the last position
+    (2^k-1)/2^k out to (2^(k+1)-1)/2^(k+1)."""
+    chain = ()
+    for m in moves:
+        if m == INC:
+            n, d = chain[-1]
+            chain = chain[:-1] + ((2 * n + 1, 2 * d),)
+        else:
+            chain += ((m.numerator, m.denominator), (1, 2))
+    return chain
 
 
 def _identified(chain):
     """identify(vertex_moves(v)) as reduced pairs, for the FrakC vertex
-    v whose component path reads as `chain` (comp.path_chain)."""
+    v whose component path reads as `chain` (comp.path_chain).  Fails as
+    _airplane_image does when some position is not (2^k-1)/2^k, so that
+    the chain names no FrakC vertex."""
     out = []
     for k in range(0, len(chain) - 1, 2):
-        (tn, td), (_, ld) = chain[k], chain[k + 1]
-        out.append(_identified_turn(not k, tn, td))
+        (tn, td), (ln, ld) = chain[k], chain[k + 1]
+        if ln + 1 != ld:
+            raise AssertionError("image left the midpoint-chain tree: %s"
+                                 % comp.format_path(comp._read_path(chain)))
+        # a first turn t is (1/2 - t) mod 1, a later one (1 - t) mod 1
+        out.append(geometry.reduced(-tn % td, td) if k else
+                   geometry.reduced((td - 2 * tn) % (2 * td), 2 * td))
         out.extend([(1, 2)] * (ld.bit_length() - 2))  # 1/2 per step out
     return out
-
-
-def _identified_turn(first, tn, td):
-    """The Basilica angle of an Airplane turn t = tn/td, a reduced pair:
-    (1/2 - t) mod 1 for the first turn, (1 - t) mod 1 for a later one."""
-    if first:
-        return geometry.reduced((td - 2 * tn) % (2 * td), 2 * td)
-    return geometry.reduced(-tn % td, td)
 
 
 # --- the Basilica side -------------------------------------------------------
@@ -187,50 +183,12 @@ def truncated_vertices(depth, bound):
     return out
 
 
-def _located_vertices(depth, bound):
-    """(moves, chain, red cell, Basilica cell) of each vertex of
-    truncated_vertices(depth, bound), in its order, where the chain is
-    comp.path_chain of the vertex's path and the cells are the ones
-    cell_at finds for it on each side.  Each level comes from the one
-    before: a turn t appends t and the position 1/2 to the parent's
-    chain, INC advances its last position (2^k-1)/2^k to
-    (2^(k+1)-1)/2^(k+1), and each side's descent goes on from the
-    parent's line, one geometry.line_after per new point."""
-    turns = [Fraction(j, bound) for j in range(bound)]
-    inner = [INC] + [t for t in turns if t not in (0, HALF)]
-    step = geometry.line_after
-    # (moves, chain, Airplane line of the last turn, Airplane line,
-    # Basilica line); None for the lines of the root, before any point
-    level = [((), (), None, None, None)]
-    yield (), (), geometry.cell_at(AIRPLANE, ()), \
-        geometry.cell_at(BASILICA, ())
-    for left in range(depth - 1, -1, -1):
-        nxt = []
-        for moves, chain, turned, line, bline in level:
-            for m in (inner if moves else turns):
-                if m == INC:
-                    n, d = chain[-1]
-                    pos = (2 * n + 1, 2 * d)
-                    child = (moves + (m,), chain[:-1] + (pos,), turned,
-                             step(AIRPLANE, turned, *pos),
-                             step(BASILICA, bline, 1, 2))
-                else:
-                    t = (m.numerator, m.denominator)
-                    on_ray = step(AIRPLANE, line, *t)
-                    child = (moves + (m,), chain + (t, (1, 2)), on_ray,
-                             step(AIRPLANE, on_ray, 1, 2),
-                             step(BASILICA, bline,
-                                  *_identified_turn(not moves, *t)))
-                # as in cell_at, a cell is the first cell of its line
-                yield child[0], child[1], child[3][0][0], child[4][0][0]
-                if left:  # the last level has no children to build
-                    nxt.append(child)
-        level = nxt
-
-
 def intertwine_check(depth, branch_denominator_bound, pairing=None):
     """Check on the truncated trees that each paired generator acts the
-    same way on both sides of the identification.  Returns a report."""
+    same way on both sides of the identification: the Airplane image of
+    a vertex comes from the integer action on its chain
+    (comp.chain_act), the Basilica image from the generator's diagram.
+    Returns a report."""
     if depth < 0:
         raise ValueError("depth must be at least 0")
     bound = branch_denominator_bound
@@ -238,17 +196,23 @@ def intertwine_check(depth, branch_denominator_bound, pairing=None):
         raise ValueError("bound must be a power of two of at least 1")
     if bound & (bound - 1):
         raise ValueError("not dyadic: %s" % Fraction(1, bound))
-    at, bt = airplane_generators(), basilica_generators()
+    bt = basilica_generators()
     pairs = pairing if pairing is not None else CANONICAL_PAIRING
-    diagrams = [(aname, bname, _airplane_diagram(at, [(aname, 1)]),
-                 evaluate_word(bt, [(bname, 1)])) for aname, bname in pairs]
+    checks = []  # every name is checked before any vertex
+    for aname, bname in pairs:
+        if aname == "e":
+            raise ValueError("epsilon does not preserve the component tree")
+        if aname not in dict(CANONICAL_PAIRING):
+            raise ValueError("unknown generator %r" % (aname,))
+        checks.append((aname, bname, evaluate_word(bt, [(bname, 1)])))
     mismatches = []
     checked = 0
-    # each vertex is located once on each side, not once per pair
-    for moves, _, red, cell in _located_vertices(depth, bound):
-        for aname, bname, f, g in diagrams:
+    for moves in truncated_vertices(depth, bound):
+        chain = _vertex_chain(moves)
+        cell = geometry.cell_at(BASILICA, _identified(chain))
+        for aname, bname, g in checks:
             checked += 1
-            left = _identified_image(f, red)
+            left = _identified(comp.chain_act(aname, 1, chain))
             right = _basilica_image(g, cell)
             if left != right:
                 mismatches.append({

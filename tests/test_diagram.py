@@ -68,6 +68,20 @@ def test_from_json_rejects_invalid_diagrams(A):
     assert GraphPairDiagram.from_json(A, good).equals(alpha)
 
 
+@pytest.mark.parametrize("data, message", [
+    (["airplane", {}], "object with a system and a map"),
+    ({"map": {"bL": "bL"}}, "object with a system and a map"),
+    ({"system": "airplane"}, "object with a system and a map"),
+    ({"system": "airplane", "map": [["bL", "bL"]]}, "object with a system"),
+    ({"system": "airplane", "map": {"bL": 3}}, "must be leaf names"),
+    ({"system": "airplane", "map": {3: "bL"}}, "must be leaf names"),
+], ids=["not-an-object", "no-system", "no-map", "map-a-list",
+        "value-not-a-string", "key-not-a-string"])
+def test_from_json_rejects_json_of_the_wrong_shape(A, data, message):
+    with pytest.raises(ValueError, match=message):
+        GraphPairDiagram.from_json(A, data)
+
+
 def test_expand_then_reduce_is_identity_map(gens):
     f = gens["b"]
     g = f.expand_pair(("rT", ())).expand_pair(("bR", ()))

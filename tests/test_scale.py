@@ -4,12 +4,24 @@ import pytest
 
 from airframe import components, trees
 
+import reference_reports as reference
+
 pytestmark = pytest.mark.slow
 
 
 def test_intertwine_depth_3_bound_16():
     rep = trees.intertwine_check(3, 16)
     assert rep["ok"] and rep["checked"] == 15428
+
+
+@pytest.mark.parametrize("pairing", [None, [("a", "b"), ("b", "a"),
+                                            ("g", "c"), ("d", "d")]])
+def test_intertwine_depth_3_bound_16_equals_the_reference(pairing):
+    """The chain-action report against the one that reads every
+    Airplane image off the generator diagrams."""
+    rep = trees.intertwine_check(3, 16, pairing)
+    assert rep == reference.intertwine_check(3, 16, pairing)
+    assert rep["ok"] == (pairing is None)
 
 
 def test_transitivity_denominator_16_depth_2():

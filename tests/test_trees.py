@@ -128,6 +128,17 @@ def test_intertwine_matches_per_check_tree_actions(gens, bgens, pairing):
     assert rep["ok"] == (pairing is None)
 
 
+@pytest.mark.parametrize("pairing, message", [
+    ([("e", "a")], "epsilon does not preserve the component tree"),
+    ([("x", "a")], "unknown generator 'x'"),
+    ([("a", "x")], "unknown generator 'x'"),
+    ([("a", "a"), ("e", "a")], "epsilon"),  # before any vertex is checked
+])
+def test_intertwine_rejects_pairings_off_the_tree(pairing, message):
+    with pytest.raises(ValueError, match=message):
+        trees.intertwine_check(0, 1, pairing)
+
+
 def test_intertwine_rejects_vacuous_bounds():
     for depth, bound in [(1, 0), (1, -4), (-1, 4), (0, 3), (1, 6)]:
         with pytest.raises(ValueError):
@@ -164,7 +175,7 @@ def located(moves):
     """The Airplane red cell and the Basilica cell of a vertex, looked up
     by cell_at on integer pairs; the Basilica side through identify."""
     cell_at = trees.geometry.cell_at
-    return (cell_at(trees.AIRPLANE, chain_of(moves)),
+    return (cell_at(trees.geometry.AIRPLANE, chain_of(moves)),
             cell_at(trees.BASILICA, pairs(trees.identify(moves))))
 
 
@@ -179,18 +190,34 @@ def test_vertices_are_located_as_intertwine_check_locates_them():
                                               trees._identified(chain))
 
 
-def comparisons(f, g, moves):
+@pytest.mark.parametrize("depth, bound", [(2, 8), (3, 4), (3, 1)])
+def test_vertex_chain_is_the_path_chain(depth, bound):
+    """Each vertex's chain, built from its moves in integers, is the
+    chain of its component path read through Fractions."""
+    for moves in vertices(depth, bound):
+        assert trees._vertex_chain(moves) == chain_of(moves)
+
+
+def comparisons(word, f, g, moves):
     """(the Fraction chains, the integer chains read as Fractions): the
-    identified Airplane image and the Basilica image of one vertex."""
+    identified Airplane image and the Basilica image of one vertex, the
+    first through the diagram f of the word and through the word's
+    action on the vertex's chain."""
     red, cell = located(moves)
     old = (trees.identify(trees.vertex_moves(trees._airplane_image(f, red))),
            trees.basilica_vertex(g.leaf_image(cell)))
-    new = (trees._identified_image(f, red), trees._basilica_image(g, cell))
+    new = (chain_image(word, moves), trees._basilica_image(g, cell))
     return old, tuple(tuple(F(n, d) for n, d in c) for c in new)
 
 
-def verdicts(f, g, moves):
-    (old_left, old_right), (left, right) = comparisons(f, g, moves)
+def chain_image(word, moves):
+    """The identified Airplane image of a vertex, as intertwine_check
+    reads it: the word's integer action on the vertex's chain."""
+    return trees._identified(trees.comp.chain_act_word(word, chain_of(moves)))
+
+
+def verdicts(word, f, g, moves):
+    (old_left, old_right), (left, right) = comparisons(word, f, g, moves)
     assert (left, right) == (old_left, old_right)
     return old_left == old_right, left == right
 
@@ -212,7 +239,7 @@ def test_integer_comparison_agrees_with_fractions(gens, bgens, data):
     paired = dict(trees.CANONICAL_PAIRING)
     f = evaluate_word(gens, word)
     g = evaluate_word(bgens, [(paired[n], e) for n, e in word])
-    old, new = verdicts(f, g, moves)
+    old, new = verdicts(word, f, g, moves)
     assert old == new
 
 
@@ -220,12 +247,12 @@ def test_integer_comparison_sees_a_swapped_pair(gens, bgens):
     # under SWAPPED, alpha meets b_B: alpha moves the center out, b_B
     # fixes it
     f, g = gens["a"], bgens[dict(SWAPPED)["a"]]
-    assert verdicts(f, g, ()) == (False, False)
+    assert verdicts([("a", 1)], f, g, ()) == (False, False)
 
 
-def outcome(image, f, red):
+def outcome(image, *args):
     try:
-        return image(f, red)
+        return image(*args)
     except (AssertionError, ValueError) as ex:
         return type(ex), str(ex)
 
@@ -234,13 +261,14 @@ def outcome(image, f, red):
                                   [("a", 1), ("e", -1)]])
 def test_integer_image_fails_as_the_fraction_one(gens, word):
     # these words carry some vertices out of the midpoint-chain tree;
-    # both routes raise the same error there and agree elsewhere
+    # the chain action and the diagram raise the same error there and
+    # agree elsewhere
     f = evaluate_word(gens, word)
     failures = 0
     for moves in vertices(2, 4):
         red, _ = located(moves)
         old = outcome(trees._airplane_image, f, red)
-        new = outcome(trees._identified_image, f, red)
+        new = outcome(chain_image, word, moves)
         if old and isinstance(old[0], type):
             failures += 1
             assert new == old
@@ -248,19 +276,6 @@ def test_integer_image_fails_as_the_fraction_one(gens, word):
             assert tuple(F(n, d) for n, d in new) == \
                 trees.identify(trees.vertex_moves(old))
     assert failures
-
-
-# --- the vertex walk against the route from the center ---------------------
-
-@pytest.mark.parametrize("depth, bound", [(2, 8), (3, 4), (3, 1)])
-def test_vertex_walk_locates_as_the_route_from_the_center(depth, bound):
-    """Each walked vertex carries its chain and both cells as the
-    center-out route finds them, in truncated_vertices order."""
-    walked = list(trees._located_vertices(depth, bound))
-    assert [moves for moves, _, _, _ in walked] == vertices(depth, bound)
-    for moves, chain, red, cell in walked:
-        assert chain == chain_of(moves)
-        assert (red, cell) == located(moves)
 
 
 @pytest.mark.parametrize("depth, bound", [(1, 4), (2, 8)])
